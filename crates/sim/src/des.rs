@@ -936,6 +936,63 @@ mod tests {
         );
     }
 
+    /// The bits of the report fields the golden pins cover.
+    fn pinned_bits(r: &SimReport) -> [u64; 5] {
+        [
+            r.mean_response.to_bits(),
+            r.total_response.to_bits(),
+            r.end_time.to_bits(),
+            r.mean_work.to_bits(),
+            r.preemptions,
+        ]
+    }
+
+    #[test]
+    fn plain_run_matches_its_recorded_bits() {
+        let r = run_markovian(&InelasticFirst, 4, 1.5, 1.0, 1.0, 0.8, 3, 1_000, 20_000);
+        let want = [
+            0x3ff2_c6a4_54bb_b5dd,
+            0x40d6_eb7b_996f_23d4,
+            0x40c0_78b2_bc7a_15bc,
+            0x400a_28cd_ba0e_98aa,
+            0,
+        ];
+        assert_eq!(pinned_bits(&r), want, "{:#018x?}", pinned_bits(&r));
+    }
+
+    #[test]
+    fn faulted_run_matches_its_recorded_bits() {
+        use crate::availability::FaultSpec;
+        use eirs_queueing::Exponential;
+        let mut source = crate::arrivals::PoissonStream::new(
+            1.2,
+            0.8,
+            Box::new(Exponential::new(1.0)),
+            Box::new(Exponential::new(1.0)),
+            21,
+        );
+        let cfg = DesConfig {
+            k: 4,
+            stop: StopRule::SimTime(3_000.0),
+            warmup_departures: 100,
+        };
+        let schedule = FaultSpec::parse("crash:mtbf=30,mttr=10")
+            .unwrap()
+            .schedule(4, 9, 3_000.0);
+        let r = Simulation::new(cfg)
+            .with_faults(&schedule)
+            .run(&crate::policy::FairShare, &mut source);
+        assert!(r.preemptions > 0);
+        let want = [
+            0x4004_953a_eef1_ea0d,
+            0x40cd_cb43_1e80_0c3c,
+            0x40a7_7000_0000_0000,
+            0x4014_f1ab_b807_e51b,
+            63,
+        ];
+        assert_eq!(pinned_bits(&r), want, "{:#018x?}", pinned_bits(&r));
+    }
+
     #[test]
     fn preloaded_jobs_have_zero_arrival_time() {
         let mut sim = Simulation::new(DesConfig::drain(2));
