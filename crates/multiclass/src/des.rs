@@ -1,10 +1,13 @@
 //! Job-level discrete-event simulation of the multi-class model.
 //!
-//! Same exact event-driven core as the two-class simulator in `eirs-sim`:
-//! allocations are constant between events, so completions are
-//! `remaining / rate`. Within a class, service is FCFS with per-job caps:
-//! the class's server total is handed out job by job, each receiving up to
-//! `c_m` servers.
+//! Exact and event-driven like the two-class simulator in `eirs-sim`
+//! (allocations are constant between events, so completions are
+//! `remaining / rate`), but its own loop, not that simulator's
+//! `eirs_sim::cluster::Cluster` core. Within a class, service is FCFS
+//! with per-job caps: the class's server total is handed out job by job,
+//! each receiving up to `c_m` servers. It draws its own Poisson arrivals
+//! and has no capacity churn or snapshots, and nothing compares it bit
+//! for bit against another engine.
 
 use crate::policy::{assert_feasible, MultiPolicy};
 use crate::spec::MultiSystem;

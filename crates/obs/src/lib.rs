@@ -24,7 +24,7 @@
 //!   (element-wise bucket addition), so per-shard/per-worker histograms
 //!   fold into one whole with no sketch error from the merge itself.
 //! * [`span`](mod@span) — wall-clock span timing into thread-local buffers (flushed
-//!   on thread exit), plus point events. When the layer is disabled a
+//!   when a thread's outermost span closes), plus point events. When the layer is disabled a
 //!   span is a single relaxed atomic load and branch.
 //!
 //! [`export`] renders the collected state as a Chrome trace-event JSON

@@ -7,11 +7,13 @@
 //! the layer is disabled.
 //!
 //! Events accumulate in a per-thread buffer (no lock on the hot path)
-//! and migrate to a global list when the buffer fills or the thread
-//! exits; the workspace's worker threads are scoped, so they are gone —
-//! and flushed — before any exporter runs. [`take_events`] drains the
-//! global list plus the calling thread's buffer, sorted by timestamp so
-//! export order is stable.
+//! and migrate to a global list when the buffer fills, when the thread's
+//! outermost open span closes, or when the thread exits. The workspace's
+//! worker threads are scoped, and a scope's implicit join does not wait
+//! for thread-local destructors, so the thread-exit flush alone could
+//! land after an exporter ran; the outermost-span flush cannot.
+//! [`take_events`] drains the global list plus the calling thread's
+//! buffer, sorted by timestamp so export order is stable.
 //!
 //! Timestamps are wall-clock nanoseconds from a process-wide anchor.
 //! They are telemetry only: nothing computed from them flows back into
@@ -105,6 +107,8 @@ const SPILL_AT: usize = 1024;
 struct ThreadBuf {
     tid: u64,
     events: Vec<TraceEvent>,
+    /// Spans opened on this thread and not yet closed.
+    open: usize,
 }
 
 impl ThreadBuf {
@@ -130,6 +134,7 @@ thread_local! {
         RefCell::new(ThreadBuf {
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
             events: Vec::new(),
+            open: 0,
         })
     };
 }
@@ -138,8 +143,11 @@ fn push(mut ev: TraceEvent) {
     BUF.with(|b| {
         let mut b = b.borrow_mut();
         ev.tid = b.tid;
+        if ev.dur_ns.is_some() {
+            b.open = b.open.saturating_sub(1);
+        }
         b.events.push(ev);
-        if b.events.len() >= SPILL_AT {
+        if b.open == 0 || b.events.len() >= SPILL_AT {
             b.flush();
         }
     });
@@ -178,6 +186,7 @@ pub fn span(name: impl Into<String>, cat: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { inner: None };
     }
+    BUF.with(|b| b.borrow_mut().open += 1);
     SpanGuard {
         inner: Some(TraceEvent {
             name: name.into(),
@@ -210,9 +219,9 @@ pub fn event(name: impl Into<String>, cat: &'static str) -> SpanGuard {
 }
 
 /// Drains every buffered event (the global list plus the calling
-/// thread's buffer), sorted by timestamp then thread id. Worker threads
-/// flush automatically when they exit, so calling this after joining
-/// them observes everything.
+/// thread's buffer), sorted by timestamp then thread id. A worker thread
+/// flushes when its outermost span closes, so calling this after joining
+/// the workers (scoped or not) observes every span they closed.
 pub fn take_events() -> Vec<TraceEvent> {
     BUF.with(|b| b.borrow_mut().flush());
     let mut events =

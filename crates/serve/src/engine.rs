@@ -24,13 +24,15 @@
 //!
 //! # Exactness against the simulator
 //!
-//! Each shard's event mechanics deliberately mirror
-//! [`eirs_sim::des::Simulation`] step for step (same FCFS rate
-//! assignment, same float-operation order, same departure sweep, same
-//! arrival-admission tie-breaks). Replaying a recorded trace through a
-//! single-shard engine therefore reproduces the DES allocation sequence
-//! **exactly** — asserted by the `serve_layer` tests and recorded in
-//! `BENCH_serve.json`.
+//! A shard is an [`eirs_sim::cluster::Cluster`] — the same event core
+//! [`eirs_sim::des::Simulation`] runs, holding the only copy of the FCFS
+//! rates, the departure sweep, the arrival tie-break, the
+//! degraded-decision rule and preempt-restart — plus the serving
+//! bookkeeping around it (digest, [`ShardMetrics`], decision log, shed
+//! limit). Replaying a recorded trace through a single-shard engine
+//! therefore reproduces the DES allocation sequence **exactly** by
+//! construction; the `serve_layer` tests and `BENCH_serve.json` still
+//! check it end to end.
 //!
 //! # Degraded mode (capacity churn)
 //!
@@ -38,14 +40,14 @@
 //! [`FaultSchedule`](eirs_sim::FaultSchedule) (derived from the shard
 //! *index*, so faults — like routing — are workload semantics, invariant
 //! to the worker count) and tracks an effective capacity `avail ≤ k`.
-//! The degraded-decision rule matches the DES exactly: at full capacity
-//! the compiled grid serves (the hot path); at zero capacity the shard
-//! idles without consulting the policy; in between, lookups are capped
-//! to the available count by delegating to the source policy
-//! ([`CompiledTable::lookup_capped`]). Capacity drops preempt-restart
-//! partially-served inelastic jobs that no longer fit (progress resets,
-//! the job re-enters at the back of its queue; see
-//! [`eirs_sim::des`]); elastic jobs shrink gracefully. Optional bounded
+//! The core's degraded-decision rule applies: at full capacity the
+//! compiled grid serves (the hot path); at zero capacity the shard idles
+//! without consulting the policy; in between, the table's `allocate` is
+//! [`CompiledTable::lookup_capped`], which delegates to the source
+//! policy. Capacity drops preempt-restart partially-served inelastic
+//! jobs that no longer fit (progress resets, the job re-enters at the
+//! back of its queue; see [`eirs_sim::cluster`]); elastic jobs shrink
+//! gracefully. Optional bounded
 //! admission shedding ([`EngineConfig::shed_limit`]) rejects arrivals
 //! into an over-occupied degraded shard, accounted in
 //! [`ShardMetrics::rejections`].
@@ -53,10 +55,10 @@
 use crate::metrics::ShardMetrics;
 use crate::table::CompiledTable;
 use eirs_sim::arrivals::{Arrival, ArrivalSource};
-use eirs_sim::availability::{CapacityEvent, FaultSpec};
-use eirs_sim::job::{Job, JobClass};
-use eirs_sim::policy::{assert_feasible, AllocationPolicy, ClassAllocation};
-use std::collections::VecDeque;
+use eirs_sim::availability::FaultSpec;
+use eirs_sim::cluster::{Cluster, NextEvent};
+use eirs_sim::job::JobClass;
+use eirs_sim::policy::{AllocationPolicy, ClassAllocation};
 use std::sync::Arc;
 
 /// One allocation decision: the occupancy queried and the allocation
@@ -288,23 +290,14 @@ impl EngineConfig {
     }
 }
 
-/// One independent cluster shard: `k` servers, its own occupancy state
-/// and clock, advancing with the DES's exact event mechanics.
+/// One independent cluster shard: the shared event core ([`Cluster`])
+/// plus the serving bookkeeping — decision digest, metrics, optional
+/// decision log and admission shedding.
 pub(crate) struct ClusterShard {
-    pub(crate) k: u32,
-    pub(crate) time: f64,
-    pub(crate) next_id: u64,
-    pub(crate) inelastic: VecDeque<Job>,
-    pub(crate) elastic: VecDeque<Job>,
+    pub(crate) core: Cluster,
     pub(crate) digest: u64,
     pub(crate) metrics: ShardMetrics,
     pub(crate) log: Option<Vec<Decision>>,
-    /// Servers currently available (`k` when the shard is healthy).
-    pub(crate) avail: u32,
-    /// This shard's capacity-change schedule (empty without churn).
-    pub(crate) faults: Vec<CapacityEvent>,
-    /// Index of the next unapplied event in `faults`.
-    pub(crate) fault_cursor: usize,
     shed_limit: Option<usize>,
     /// Wall-clock decision latency (nanoseconds), recorded only while
     /// the `eirs_obs` layer is enabled. Deliberately *not* part of
@@ -314,47 +307,31 @@ pub(crate) struct ClusterShard {
 }
 
 impl ClusterShard {
-    pub(crate) fn new(
-        k: u32,
-        record: bool,
-        faults: Vec<CapacityEvent>,
-        shed_limit: Option<usize>,
-    ) -> Self {
+    pub(crate) fn new(core: Cluster, record: bool, shed_limit: Option<usize>) -> Self {
         Self {
-            k,
-            time: 0.0,
-            next_id: 0,
-            inelastic: VecDeque::with_capacity(16),
-            elastic: VecDeque::with_capacity(16),
+            metrics: ShardMetrics::new(core.k()),
+            core,
             digest: 0,
-            metrics: ShardMetrics::new(k),
             log: record.then(Vec::new),
-            avail: k,
-            faults,
-            fault_cursor: 0,
             shed_limit,
             latency: eirs_obs::LatencyHistogram::new(),
         }
     }
 
-    /// One allocation decision at the current occupancy, under the
-    /// degraded-decision rule (see the [module docs](self)).
+    /// One allocation decision at the current occupancy (the core's
+    /// degraded-decision rule), folded into the digest, metrics and log.
     fn decide(&mut self, table: &CompiledTable) -> ClassAllocation {
         // Telemetry is write-only: the timing never feeds back into any
         // decision, so enabling it cannot perturb the digest.
         let t0 = eirs_obs::enabled().then(std::time::Instant::now);
-        let (i, j) = (self.inelastic.len(), self.elastic.len());
-        let (allocation, in_grid) = if self.avail == self.k {
-            (table.lookup(i, j), table.in_grid(i, j))
-        } else if self.avail == 0 {
-            // Dark shard: idle without consulting the policy.
-            (ClassAllocation::IDLE, true)
-        } else {
-            (table.lookup_capped(i, j, self.avail), true)
-        };
-        assert_feasible(allocation, i, j, self.avail, "compiled table");
-        self.metrics.record_decision(i, j, allocation, in_grid);
-        if self.avail < self.k {
+        let (i, j) = self.core.occupancy();
+        let allocation = self.core.decide(table, "compiled table");
+        let degraded = self.core.avail() < self.core.k();
+        // Degraded decisions bypass the full-capacity grid, so only
+        // healthy ones can overflow it.
+        self.metrics
+            .record_decision(i, j, allocation, degraded || table.in_grid(i, j));
+        if degraded {
             self.metrics.degraded_decisions += 1;
         }
         self.digest = fold_decision(self.digest, i, j, allocation);
@@ -367,220 +344,59 @@ impl ClusterShard {
         allocation
     }
 
-    /// Time to the next capacity event (`∞` when the schedule is spent).
-    fn next_fault_dt(&self) -> f64 {
-        self.faults
-            .get(self.fault_cursor)
-            .map_or(f64::INFINITY, |e| e.time - self.time)
+    /// One event-loop step up to the pending arrival at `arrival` (if
+    /// any): capacity events, a decision, service, departures. Returns
+    /// the step's plan for the arrival tie-break.
+    fn step(&mut self, table: &CompiledTable, arrival: Option<f64>) -> NextEvent {
+        self.core
+            .apply_due_capacity(|_| self.metrics.preemptions += 1);
+        let alloc = self.decide(table);
+        let next = self.core.next_event(alloc, arrival);
+        if !next.dt.is_finite() {
+            self.core.assert_idle(&table.name());
+        }
+        self.core.advance(alloc, next.dt);
+        self.core
+            .collect_departures(|_, response| self.metrics.record_response(response));
+        self.metrics.sim_time = self.core.now();
+        next
     }
 
-    /// Applies every capacity event due at the current clock — the same
-    /// sequencing as [`eirs_sim::des::Simulation`]: after simultaneous
-    /// completions have been collected, before the next decision.
-    fn apply_due_capacity_events(&mut self) {
-        while let Some(&e) = self.faults.get(self.fault_cursor) {
-            if e.time <= self.time + 1e-12 {
-                self.fault_cursor += 1;
-                self.apply_capacity(e.available);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Sets available capacity, preempt-restarting partially-served
-    /// inelastic jobs beyond the surviving prefix (the DES's exact
-    /// rule: progress resets to full size, the job re-enters at the
-    /// back of the queue). Elastic jobs keep all progress.
-    fn apply_capacity(&mut self, available: u32) {
-        self.avail = available;
-        let keep = available as usize;
-        if keep >= self.inelastic.len() {
-            return;
-        }
-        let mut preempted: Vec<Job> = Vec::new();
-        let mut idx = keep;
-        while idx < self.inelastic.len() {
-            let job = &self.inelastic[idx];
-            if job.remaining < job.size {
-                let mut job = self.inelastic.remove(idx).expect("index in range");
-                job.remaining = job.size;
-                self.metrics.preemptions += 1;
-                preempted.push(job);
-            } else {
-                idx += 1;
-            }
-        }
-        self.inelastic.extend(preempted);
-    }
-
-    /// Degraded-mode admission shedding: reject when below full
-    /// capacity with `shed_limit` or more jobs already present.
-    fn should_shed(&self) -> bool {
-        match self.shed_limit {
-            Some(limit) => {
-                self.avail < self.k && self.inelastic.len() + self.elastic.len() >= limit
-            }
-            None => false,
-        }
-    }
-
-    /// Earliest completion under `alloc` (FCFS rate assignment, exactly
-    /// as the DES computes it).
-    fn next_completion_dt(&self, alloc: ClassAllocation) -> f64 {
-        let whole = alloc.inelastic.floor() as usize;
-        let frac = alloc.inelastic - whole as f64;
-        let mut dt = f64::INFINITY;
-        for (idx, job) in self.inelastic.iter().enumerate().take(whole + 1) {
-            let rate = if idx < whole { 1.0 } else { frac };
-            if rate > 0.0 {
-                dt = dt.min(job.remaining / rate);
-            }
-        }
-        if alloc.elastic > 0.0 {
-            if let Some(head) = self.elastic.front() {
-                dt = dt.min(head.remaining / alloc.elastic);
-            }
-        }
-        dt
-    }
-
-    /// Advances served jobs by `dt` (float-operation order matches the
-    /// DES bit for bit; no-op at `dt = 0`, like the DES).
-    fn advance(&mut self, alloc: ClassAllocation, dt: f64) {
-        if dt > 0.0 {
-            let whole = alloc.inelastic.floor() as usize;
-            let frac = alloc.inelastic - whole as f64;
-            for (idx, job) in self.inelastic.iter_mut().enumerate().take(whole + 1) {
-                let rate = if idx < whole { 1.0 } else { frac };
-                if rate > 0.0 {
-                    job.remaining = (job.remaining - rate * dt).max(0.0);
-                }
-            }
-            if alloc.elastic > 0.0 {
-                if let Some(head) = self.elastic.front_mut() {
-                    head.remaining = (head.remaining - alloc.elastic * dt).max(0.0);
-                }
-            }
-            self.time += dt;
-            self.metrics.sim_time = self.time;
-        }
-    }
-
-    fn complete(&mut self, job: Job) {
-        self.metrics.record_response(self.time - job.arrival);
-    }
-
-    /// Removes finished jobs, in the DES's sweep order (inelastic front
-    /// pops, then a positional sweep for fractionally-served stragglers,
-    /// then elastic front pops).
-    fn collect_departures(&mut self) {
-        while let Some(front) = self.inelastic.front() {
-            if front.is_done() {
-                let job = self.inelastic.pop_front().expect("front exists");
-                self.complete(job);
-            } else {
-                break;
-            }
-        }
-        let mut idx = 0;
-        while idx < self.inelastic.len() {
-            if self.inelastic[idx].is_done() {
-                let job = self.inelastic.remove(idx).expect("index in range");
-                self.complete(job);
-            } else {
-                idx += 1;
-            }
-        }
-        while let Some(front) = self.elastic.front() {
-            if front.is_done() {
-                let job = self.elastic.pop_front().expect("front exists");
-                self.complete(job);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// A pure read of the allocation the shard would serve at its
-    /// current occupancy — the same degraded-decision rule as `decide`,
-    /// but with **no** side effects (no digest fold, no metrics, no
-    /// log). Used to build [`Admission`] acknowledgments; because it
-    /// never mutates, acking cannot perturb the decision stream.
-    pub(crate) fn peek(&self, table: &CompiledTable) -> (usize, usize, ClassAllocation) {
-        let (i, j) = (self.inelastic.len(), self.elastic.len());
-        let allocation = if self.avail == self.k {
-            table.lookup(i, j)
-        } else if self.avail == 0 {
-            ClassAllocation::IDLE
-        } else {
-            table.lookup_capped(i, j, self.avail)
-        };
-        (i, j, allocation)
-    }
-
-    /// Processes all completions up to `a.time`, then admits the arrival
-    /// — the incremental form of one-or-more DES loop iterations ending
-    /// in an arrival event. Returns `false` when degraded-mode admission
-    /// shedding rejected the arrival.
+    /// Processes all completions up to `a.time`, then admits the arrival.
+    /// Returns `false` when degraded-mode admission shedding rejected it:
+    /// while below full capacity, an arrival finding `shed_limit` or more
+    /// jobs present is counted but not queued.
     pub(crate) fn ingest(&mut self, table: &CompiledTable, a: Arrival) -> bool {
         loop {
-            self.apply_due_capacity_events();
-            let alloc = self.decide(table);
-            let dt_completion = self.next_completion_dt(alloc);
-            let dt_arrival = a.time - self.time;
-            debug_assert!(dt_arrival >= -1e-9, "arrival in the past");
-            let dt = dt_completion
-                .min(dt_arrival.max(0.0))
-                .min(self.next_fault_dt().max(0.0));
-            self.advance(alloc, dt);
-            self.collect_departures();
-            if a.time <= self.time + 1e-12 && dt_arrival <= dt_completion {
-                self.time = self.time.max(a.time);
-                self.metrics.arrivals += 1;
-                match a.class {
-                    JobClass::Inelastic => self.metrics.arrivals_inelastic += 1,
-                    JobClass::Elastic => self.metrics.arrivals_elastic += 1,
-                }
-                self.metrics.sim_time = self.time;
-                if self.should_shed() {
-                    self.metrics.rejections += 1;
-                    return false;
-                }
-                let job = Job::new(self.next_id, a.class, a.size, a.time);
-                self.next_id += 1;
-                match a.class {
-                    JobClass::Inelastic => self.inelastic.push_back(job),
-                    JobClass::Elastic => self.elastic.push_back(job),
-                }
-                // Zero-size jobs depart immediately.
-                self.collect_departures();
-                return true;
+            let next = self.step(table, Some(a.time));
+            if self.core.arrives(a.time, &next) {
+                break;
             }
         }
+        self.metrics.sim_time = self.core.now();
+        self.metrics.arrivals += 1;
+        match a.class {
+            JobClass::Inelastic => self.metrics.arrivals_inelastic += 1,
+            JobClass::Elastic => self.metrics.arrivals_elastic += 1,
+        }
+        let (i, j) = self.core.occupancy();
+        let shed = self.core.avail() < self.core.k()
+            && self.shed_limit.is_some_and(|limit| i + j >= limit);
+        if shed {
+            self.metrics.rejections += 1;
+            return false;
+        }
+        self.core
+            .admit(a, |_, response| self.metrics.record_response(response));
+        true
     }
 
     /// Runs remaining work to completion (no further arrivals; pending
     /// capacity events still fire, so an outage mid-drain degrades
     /// exactly as it would mid-stream).
     pub(crate) fn drain(&mut self, table: &CompiledTable) {
-        while !(self.inelastic.is_empty() && self.elastic.is_empty()) {
-            self.apply_due_capacity_events();
-            let alloc = self.decide(table);
-            let dt = self
-                .next_completion_dt(alloc)
-                .min(self.next_fault_dt().max(0.0));
-            assert!(
-                dt.is_finite(),
-                "{} idles forever with jobs present (state ({},{}), {}/{} servers available)",
-                table.name(),
-                self.inelastic.len(),
-                self.elastic.len(),
-                self.avail,
-                self.k
-            );
-            self.advance(alloc, dt);
-            self.collect_departures();
+        while !self.core.is_empty() {
+            self.step(table, None);
         }
     }
 }
@@ -647,15 +463,12 @@ impl ServeEngine {
             .map(|idx| {
                 // Each routing shard replays its own seeded schedule,
                 // derived from the shard index — never the worker id.
-                let faults = match &config.churn {
-                    Some(c) => c
-                        .spec
-                        .schedule_for_shard(config.k, c.seed, idx, c.horizon)
-                        .events()
-                        .to_vec(),
-                    None => Vec::new(),
+                let core = match &config.churn {
+                    Some(c) => Cluster::new(config.k)
+                        .with_faults(&c.spec.schedule_for_shard(config.k, c.seed, idx, c.horizon)),
+                    None => Cluster::new(config.k),
                 };
-                ClusterShard::new(config.k, config.record_decisions, faults, config.shed_limit)
+                ClusterShard::new(core, config.record_decisions, config.shed_limit)
             })
             .collect();
         let scratch = (0..config.route_shards).map(|_| Vec::new()).collect();
@@ -785,7 +598,10 @@ impl ServeEngine {
             let (idx, shard, bucket, out) = item;
             for &(n, a) in bucket.iter() {
                 let admitted = shard.ingest(table, a);
-                let (i, j, allocation) = shard.peek(table);
+                // A pure read of the core: acking cannot perturb the
+                // decision stream.
+                let (i, j) = shard.core.occupancy();
+                let allocation = shard.core.decide(table, "compiled table");
                 out.push((
                     n,
                     Admission {
@@ -881,7 +697,7 @@ impl ServeEngine {
 
     /// Cluster-wide response-time histogram (simulated seconds), merged
     /// exactly from the per-shard histograms — the source for merged
-    /// P50/P95/P99/P99.9, since the per-shard P² sketches cannot merge.
+    /// P50/P95/P99/P99.9.
     pub fn response_histogram(&self) -> eirs_obs::LatencyHistogram {
         let mut total = eirs_obs::LatencyHistogram::new();
         for s in &self.shards {
@@ -892,10 +708,7 @@ impl ServeEngine {
 
     /// Current occupancy `(i, j)` of every shard.
     pub fn occupancy(&self) -> Vec<(usize, usize)> {
-        self.shards
-            .iter()
-            .map(|s| (s.inelastic.len(), s.elastic.len()))
-            .collect()
+        self.shards.iter().map(|s| s.core.occupancy()).collect()
     }
 
     /// The recorded decision sequences concatenated in shard order

@@ -190,9 +190,6 @@ impl EngineSnapshot {
             if !m.response_hist.is_empty() {
                 writeln!(w, "rhist {}", m.response_hist.encode())?;
             }
-            if m.response_tails.count() > 0 {
-                writeln!(w, "rtail {}", m.response_tails.encode())?;
-            }
             for job in &s.jobs {
                 let c = match job.class {
                     JobClass::Inelastic => 'I',
@@ -343,14 +340,9 @@ impl EngineSnapshot {
                         eirs_obs::LatencyHistogram::decode(body["rhist".len()..].trim())
                             .map_err(|e| SnapshotError::Line(n, e))?;
                 }
-                "rtail" => {
-                    let shard = shards
-                        .last_mut()
-                        .ok_or_else(|| SnapshotError::Line(n, "rtail before any shard".into()))?;
-                    shard.metrics.response_tails =
-                        eirs_sim::quantile::TailStats::decode(body["rtail".len()..].trim())
-                            .map_err(|e| SnapshotError::Line(n, e))?;
-                }
+                // Older snapshots also carried a per-shard P² sketch; the
+                // histogram above supersedes it.
+                "rtail" => {}
                 "job" => {
                     let shard = shards
                         .last_mut()
@@ -446,9 +438,8 @@ impl ServeEngine {
             .iter()
             .map(|s| {
                 let jobs = s
-                    .inelastic
-                    .iter()
-                    .chain(s.elastic.iter())
+                    .core
+                    .jobs()
                     .map(|job| JobSnapshot {
                         id: job.id,
                         class: job.class,
@@ -458,11 +449,11 @@ impl ServeEngine {
                     })
                     .collect();
                 ShardSnapshot {
-                    time: s.time,
+                    time: s.core.now(),
                     digest: s.digest,
-                    next_id: s.next_id,
-                    avail: s.avail,
-                    fault_cursor: s.fault_cursor,
+                    next_id: s.core.next_id(),
+                    avail: s.core.avail(),
+                    fault_cursor: s.core.fault_cursor(),
                     metrics: s.metrics.clone(),
                     jobs,
                 }
@@ -553,35 +544,23 @@ fn restore_shard(
             k + 1
         )));
     }
-    if frozen.avail > k {
-        return Err(SnapshotError::Mismatch(format!(
-            "shard claims {} available servers of {k}",
-            frozen.avail
-        )));
-    }
-    if frozen.fault_cursor > shard.faults.len() {
-        return Err(SnapshotError::Mismatch(format!(
-            "fault cursor {} beyond the {}-event schedule",
-            frozen.fault_cursor,
-            shard.faults.len()
-        )));
-    }
-    shard.time = frozen.time;
-    shard.digest = frozen.digest;
-    shard.next_id = frozen.next_id;
-    shard.avail = frozen.avail;
-    shard.fault_cursor = frozen.fault_cursor;
-    shard.metrics = frozen.metrics.clone();
-    shard.inelastic.clear();
-    shard.elastic.clear();
-    for js in &frozen.jobs {
+    let jobs = frozen.jobs.iter().map(|js| {
         let mut job = Job::new(js.id, js.class, js.size, js.arrival);
         job.remaining = js.remaining;
-        match js.class {
-            JobClass::Inelastic => shard.inelastic.push_back(job),
-            JobClass::Elastic => shard.elastic.push_back(job),
-        }
-    }
+        job
+    });
+    shard
+        .core
+        .restore(
+            frozen.time,
+            frozen.next_id,
+            frozen.avail,
+            frozen.fault_cursor,
+            jobs,
+        )
+        .map_err(SnapshotError::Mismatch)?;
+    shard.digest = frozen.digest;
+    shard.metrics = frozen.metrics.clone();
     Ok(())
 }
 
@@ -733,27 +712,28 @@ mod tests {
         let populated = snap
             .shards
             .iter()
-            .any(|s| s.metrics.response_tails.count() > 0);
+            .any(|s| !s.metrics.response_hist.is_empty());
         assert!(populated, "drained engine must have recorded responses");
         let mut buf = Vec::new();
         snap.to_writer(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("\nrhist ") && text.contains("\nrtail "));
+        assert!(text.contains("\nrhist ") && !text.contains("\nrtail "));
         let parsed = EngineSnapshot::from_reader(&mut std::io::Cursor::new(text.clone())).unwrap();
         assert_eq!(parsed, snap);
-        // A pre-telemetry snapshot (no rhist/rtail lines) still parses;
-        // the sketches restore fresh.
+        // A pre-telemetry snapshot (no rhist lines) still parses; the
+        // histograms restore fresh.
         let stripped: String = text
             .lines()
-            .filter(|l| !l.starts_with("rhist") && !l.starts_with("rtail"))
+            .filter(|l| !l.starts_with("rhist"))
             .map(|l| format!("{l}\n"))
             .collect();
         let old = EngineSnapshot::from_reader(&mut std::io::Cursor::new(stripped)).unwrap();
-        assert!(old.shards.iter().all(|s| {
-            s.metrics.response_tails.count() == 0 && s.metrics.response_hist.is_empty()
-        }));
+        assert!(old
+            .shards
+            .iter()
+            .all(|s| s.metrics.response_hist.is_empty()));
         // But a corrupted telemetry line is an error, not a silent skip.
-        let bad = text.replacen("rtail ", "rtail x", 1);
+        let bad = text.replacen("rhist ", "rhist x", 1);
         assert!(matches!(
             EngineSnapshot::from_reader(&mut std::io::Cursor::new(bad)),
             Err(SnapshotError::Line(..))

@@ -154,9 +154,11 @@ impl CompiledTable {
 }
 
 impl AllocationPolicy for CompiledTable {
+    /// [`CompiledTable::lookup_capped`]: the grid at the compiled `k`,
+    /// the source policy for any smaller server count.
+    #[inline]
     fn allocate(&self, i: usize, j: usize, k: u32) -> ClassAllocation {
-        debug_assert_eq!(k, self.k, "table compiled for k={}, asked k={k}", self.k);
-        self.lookup(i, j)
+        self.lookup_capped(i, j, k)
     }
 
     fn name(&self) -> String {
@@ -241,5 +243,19 @@ mod tests {
         let table = CompiledTable::compile(Box::new(InelasticFirst), 4, 8, 8);
         let a = AllocationPolicy::allocate(&table, 2, 3, 4);
         assert_eq!(bits(a), bits(InelasticFirst.allocate(2, 3, 4)));
+    }
+
+    #[test]
+    fn allocate_below_the_compiled_k_asks_the_source_policy() {
+        let table = CompiledTable::compile(Box::new(FairShare), 4, 8, 8);
+        for avail in 1..4 {
+            for (i, j) in [(0, 0), (3, 2), (5, 5), (12, 1)] {
+                assert_eq!(
+                    bits(AllocationPolicy::allocate(&table, i, j, avail)),
+                    bits(table.source().allocate(i, j, avail)),
+                    "({i},{j}) on {avail} servers"
+                );
+            }
+        }
     }
 }

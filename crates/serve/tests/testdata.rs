@@ -6,9 +6,16 @@
 //! regenerates it (`cargo test -p eirs-serve regenerate -- --ignored`)
 //! and the live tests pin that the committed bytes still parse and
 //! replay to the recorded decision digests, with and without churn.
+//!
+//! `testdata/legacy_rtail.snap` is a frozen snapshot of the same replay
+//! after 60 arrivals, written by
+//! `eirs serve --policy curve:2+0.5i --workload trace:<smoke.trace>
+//! --journal <wal> --snapshot <snap> --snapshot-at 60 --kill-after 140`
+//! when snapshots still carried a per-shard P² sketch (`rtail` lines).
+//! It must keep restoring and continue to the pinned digest.
 
 use eirs_queueing::Exponential;
-use eirs_serve::{ChurnConfig, CompiledTable, EngineConfig, ServeEngine};
+use eirs_serve::{ChurnConfig, CompiledTable, EngineConfig, EngineSnapshot, ServeEngine};
 use eirs_sim::arrivals::ArrivalTrace;
 use eirs_sim::availability::FaultSpec;
 use eirs_sim::policy::SwitchingCurvePolicy;
@@ -51,10 +58,8 @@ fn regenerate_smoke_trace() {
     smoke_trace().save(&path).unwrap();
 }
 
-/// Replays the bundled trace through a `k = 4`, four-route-shard engine.
-fn serve_smoke(workers: usize, churn: Option<(&str, u64, f64)>) -> ServeEngine {
-    let trace = ArrivalTrace::load(&testdata_path()).expect("bundled trace parses");
-    let table = CompiledTable::compile(
+fn smoke_table() -> CompiledTable {
+    CompiledTable::compile(
         Box::new(SwitchingCurvePolicy {
             intercept: 2,
             slope: 0.5,
@@ -62,7 +67,13 @@ fn serve_smoke(workers: usize, churn: Option<(&str, u64, f64)>) -> ServeEngine {
         4,
         32,
         32,
-    );
+    )
+}
+
+/// Replays the bundled trace through a `k = 4`, four-route-shard engine.
+fn serve_smoke(workers: usize, churn: Option<(&str, u64, f64)>) -> ServeEngine {
+    let trace = ArrivalTrace::load(&testdata_path()).expect("bundled trace parses");
+    let table = smoke_table();
     let mut config = EngineConfig::new(4).route_shards(4).workers(workers);
     if let Some((spec, seed, horizon)) = churn {
         config = config.churn(ChurnConfig {
@@ -121,4 +132,25 @@ fn churn_with_preemptions_matches_its_recorded_digest() {
         totals.preemptions,
         totals.total_response.to_bits()
     );
+}
+
+#[test]
+fn legacy_snapshot_with_p2_sketches_restores_and_continues() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata/legacy_rtail.snap");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(
+        text.contains("\nrtail "),
+        "fixture must carry legacy sketch lines"
+    );
+    let snap = EngineSnapshot::load(&path).expect("legacy snapshot parses");
+    let config = EngineConfig::new(4).route_shards(4);
+    let mut engine = ServeEngine::from_snapshot(smoke_table(), config, &snap).unwrap();
+    let trace = ArrivalTrace::load(&testdata_path()).unwrap();
+    engine.ingest_batch(&trace.arrivals()[snap.seq as usize..]);
+    engine.drain();
+    assert_eq!(engine.decision_digest(), SMOKE_DIGEST);
+    // The rewritten snapshot drops the sketches.
+    let mut buf = Vec::new();
+    engine.snapshot().to_writer(&mut buf).unwrap();
+    assert!(!String::from_utf8(buf).unwrap().contains("rtail"));
 }

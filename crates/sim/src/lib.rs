@@ -10,6 +10,10 @@
 //!   state-dependent allocation `(i, j) ↦ (π_I, π_E)` exactly as in the
 //!   paper, with Inelastic-First, Elastic-First, class-P table policies, and
 //!   fair-share baselines.
+//! * [`cluster`] — the two-class event core: queues, clock, capacity and
+//!   the only copy of the FCFS service, departure, arrival and
+//!   preempt-restart rules, shared by the simulator and the serving shards
+//!   of `eirs_serve`.
 //! * [`des`] — a job-level discrete-event simulator that tracks every job's
 //!   remaining work. Sizes may come from *any* distribution, which lets the
 //!   tests exercise the distribution-free sample-path results (Theorem 3).
@@ -57,6 +61,7 @@
 
 pub mod arrivals;
 pub mod availability;
+pub mod cluster;
 pub mod coupling;
 pub mod ctmc;
 pub mod des;

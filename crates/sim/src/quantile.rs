@@ -139,60 +139,6 @@ impl P2Quantile {
         }
         self.q[2]
     }
-
-    /// Serializes the full estimator state as whitespace-separated
-    /// tokens (floats in Rust's shortest round-trippable form). The
-    /// token count is `3 + warmup_len + 20`, so encodings are
-    /// self-delimiting when concatenated — the serve-snapshot format
-    /// relies on this to freeze per-shard sketches bit-exactly.
-    pub fn encode(&self) -> String {
-        let mut out = format!("{} {} {}", self.p, self.count, self.warmup.len());
-        for v in &self.warmup {
-            out.push_str(&format!(" {v}"));
-        }
-        for block in [&self.q, &self.n, &self.np, &self.dn] {
-            for v in block {
-                out.push_str(&format!(" {v}"));
-            }
-        }
-        out
-    }
-
-    /// Parses one [`P2Quantile::encode`] state from the front of a token
-    /// stream, consuming exactly the tokens it needs.
-    pub fn decode_from<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Self, String> {
-        let mut next_f64 = |name: &str| -> Result<f64, String> {
-            tokens
-                .next()
-                .ok_or_else(|| format!("p2 state: missing {name}"))?
-                .parse::<f64>()
-                .map_err(|e| format!("p2 state {name}: {e}"))
-        };
-        let p = next_f64("p")?;
-        if !(p > 0.0 && p < 1.0) {
-            return Err(format!("p2 state: quantile {p} out of range"));
-        }
-        let count = next_f64("count")? as u64;
-        let w_len = next_f64("warmup_len")? as usize;
-        if w_len > 5 || w_len != (count.min(5)) as usize {
-            return Err(format!(
-                "p2 state: warmup length {w_len} inconsistent with count {count}"
-            ));
-        }
-        let mut warmup = Vec::with_capacity(5);
-        for i in 0..w_len {
-            warmup.push(next_f64(&format!("warmup[{i}]"))?);
-        }
-        let mut est = P2Quantile::new(p);
-        est.count = count;
-        est.warmup = warmup;
-        for block in [&mut est.q, &mut est.n, &mut est.np, &mut est.dn] {
-            for (i, slot) in block.iter_mut().enumerate() {
-                *slot = next_f64(&format!("marker[{i}]"))?;
-            }
-        }
-        Ok(est)
-    }
 }
 
 /// A bundle of the quantiles operators usually watch.
@@ -232,32 +178,6 @@ impl TailStats {
     /// Observations seen.
     pub fn count(&self) -> u64 {
         self.p50.count()
-    }
-
-    /// Serializes all three estimator states on one line (see
-    /// [`P2Quantile::encode`]; the per-estimator encodings are
-    /// self-delimiting, so simple concatenation round-trips).
-    pub fn encode(&self) -> String {
-        format!(
-            "{} {} {}",
-            self.p50.encode(),
-            self.p95.encode(),
-            self.p99.encode()
-        )
-    }
-
-    /// Parses a [`TailStats::encode`] line bit-exactly.
-    pub fn decode(s: &str) -> Result<Self, String> {
-        let mut tokens = s.split_whitespace();
-        let out = Self {
-            p50: P2Quantile::decode_from(&mut tokens)?,
-            p95: P2Quantile::decode_from(&mut tokens)?,
-            p99: P2Quantile::decode_from(&mut tokens)?,
-        };
-        if tokens.next().is_some() {
-            return Err("tail state: trailing tokens".into());
-        }
-        Ok(out)
     }
 }
 
@@ -358,37 +278,5 @@ mod tests {
     #[should_panic(expected = "quantile must be in (0,1)")]
     fn rejects_out_of_range_p() {
         P2Quantile::new(1.0);
-    }
-
-    #[test]
-    fn encode_decode_round_trips_bit_exactly() {
-        let mut rng = StdRng::seed_from_u64(4);
-        for n in [0usize, 1, 4, 5, 6, 1000] {
-            let mut tails = TailStats::new();
-            for _ in 0..n {
-                let u: f64 = rng.random();
-                tails.push(-(1.0 - u).ln());
-            }
-            let restored = TailStats::decode(&tails.encode()).expect("round trip");
-            assert_eq!(restored, tails, "state differs after {n} pushes");
-            // And the restored sketch keeps evolving identically.
-            let mut a = tails.clone();
-            let mut b = restored;
-            for _ in 0..100 {
-                let u: f64 = rng.random();
-                a.push(u);
-                b.push(u);
-            }
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_malformed_state() {
-        assert!(TailStats::decode("").is_err());
-        assert!(TailStats::decode("0.5 0 0").is_err()); // only one estimator
-        let good = TailStats::new().encode();
-        assert!(TailStats::decode(&format!("{good} 7")).is_err()); // trailing token
-        assert!(TailStats::decode(&good.replace("0.5", "1.5")).is_err());
     }
 }

@@ -1746,8 +1746,8 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
             let wall = start.elapsed().as_secs_f64();
             let totals = engine.metrics_total();
             let per_shard = engine.metrics_per_shard();
-            // Merged response quantiles come from the exactly-mergeable
-            // histogram; per-shard ones from each shard's P² sketch.
+            // Merged and per-shard response quantiles both come from the
+            // exactly-mergeable histograms.
             let response_hist = engine.response_histogram();
             if eirs_repro::obs::enabled() {
                 eirs_repro::obs::publish_histogram(
