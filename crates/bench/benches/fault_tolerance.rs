@@ -184,10 +184,11 @@ fn main() {
         &mut crashed,
         &mut source,
         f64::INFINITY,
-        &mut wal,
+        Some(&mut wal),
         RunControls {
             snapshot_at: Some(snapshot_at),
             kill_after: Some(kill_after),
+            ..Default::default()
         },
     )
     .expect("journal to memory");

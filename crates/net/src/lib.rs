@@ -41,4 +41,7 @@ pub mod server;
 pub use client::{run_client, ClientConfig, ClientReport};
 pub use protocol::{Frame, ProtocolError};
 pub use queue::BoundedQueue;
-pub use server::{serve, CompileFn, NetConfig, ReoptSettings, ServeReport, SwapTrigger};
+pub use server::{
+    resolve_swap, serve, validate_swap_spec, CompileFn, NetConfig, ReoptSettings, ServeReport,
+    SwapTrigger,
+};

@@ -32,13 +32,15 @@
 //! A swap is requested by a [`Frame::Control`] `swap <spec>` command or
 //! scheduled up front (CLI `--swap-policy`/`--swap-at`). Each request
 //! pins a barrier sequence number; the engine loop never ingests across
-//! a barrier. At the barrier it builds the new table — compiling `spec`
-//! directly, or for `optimize:<family>` re-running the optimizer
-//! against the engine's live observed per-class arrival rates — then
-//! journals the [`SwapRecord`] (write-ahead: before any arrival is
-//! served under the new generation) and installs it. Replaying the
-//! journal reproduces the swap at the same sequence number and the
-//! decision digest bit for bit.
+//! a barrier. At the barrier it builds the new table with
+//! [`resolve_swap`] — compiling `spec` directly, or for
+//! `optimize:<family>` re-running the optimizer against the engine's
+//! live observed per-class arrival rates — then journals the
+//! [`SwapRecord`] (write-ahead: before any arrival is served under the
+//! new generation) and installs it. Replaying the journal reproduces the
+//! swap at the same sequence number and the decision digest bit for bit.
+//! Offline `eirs serve` runs resolve their swaps through the same
+//! [`resolve_swap`] and check specs with [`validate_swap_spec`].
 
 use crate::protocol::{encode_frame, read_frame, read_magic, write_magic, Frame};
 use crate::queue::BoundedQueue;
@@ -353,16 +355,9 @@ fn handle_control(shared: &Shared<'_>, conn: usize, cmd: &str) -> bool {
         return reject(format!("unknown control command '{cmd}'"));
     };
     let spec = spec.trim().to_string();
-    let table = if let Some(family) = spec.strip_prefix("optimize:") {
-        if let Err(e) = parse_family(family, shared.k) {
-            return reject(format!("cannot re-optimize '{family}': {e}"));
-        }
-        None
-    } else {
-        match (shared.compile)(&spec) {
-            Ok(table) => Some(table),
-            Err(e) => return reject(format!("cannot compile swap policy '{spec}': {e}")),
-        }
+    let table = match validate_swap_spec(&spec, shared.k, shared.compile) {
+        Ok(table) => table,
+        Err(e) => return reject(format!("cannot swap to '{spec}': {e}")),
     };
     let at_seq = {
         let mut r = shared.router.lock().expect("router poisoned");
@@ -474,42 +469,57 @@ fn close_finished(shared: &Shared<'_>) {
     }
 }
 
-/// Builds the table for a pending swap at the barrier (the engine's
-/// metrics are the ones observed *now*).
-fn swap_table(
-    shared: &Shared<'_>,
+/// Checks a swap spec before its barrier, so a bad spec fails the
+/// request rather than the barrier: an `optimize:<family>` spec must
+/// name a family valid at `k` servers, and any other spec must compile.
+/// Returns the compiled table for a plain spec (`None` for `optimize:`,
+/// which can only be built at the barrier by [`resolve_swap`]).
+pub fn validate_swap_spec(
+    spec: &str,
+    k: u32,
+    compile: &CompileFn,
+) -> Result<Option<CompiledTable>, String> {
+    match spec.strip_prefix("optimize:") {
+        Some(family) => parse_family(family, k).map(|_| None),
+        None => compile(spec).map(Some),
+    }
+}
+
+/// Builds the table for a swap to `spec` at its barrier, returning it
+/// with the concrete spec to journal. A plain spec compiles as is; an
+/// `optimize:<family>` spec re-runs the optimizer against the per-class
+/// arrival rates `engine` has observed so far (its summed stream clock)
+/// under the `reopt` service rates and budget, and journals the spec
+/// the search chose.
+pub fn resolve_swap(
+    spec: &str,
     engine: &ServeEngine,
-    swap: PendingSwap,
     reopt: &ReoptSettings,
+    compile: &CompileFn,
 ) -> Result<(CompiledTable, String), String> {
-    if let Some(table) = swap.table {
-        return Ok((table, swap.spec));
-    }
-    if let Some(family) = swap.spec.strip_prefix("optimize:") {
-        let totals = engine.metrics_total();
-        let stream_time: f64 = engine.metrics_per_shard().iter().map(|m| m.sim_time).sum();
-        let load = ObservedLoad::from_counts(
-            totals.arrivals_inelastic,
-            totals.arrivals_elastic,
-            stream_time,
-        )?;
-        let budget = Budget {
-            max_evals: reopt.max_evals,
-            seed: reopt.seed,
-        };
-        let outcome = reoptimize(
-            family,
-            shared.k,
-            &load,
-            reopt.mu_inelastic,
-            reopt.mu_elastic,
-            &budget,
-        )?;
-        let table = (shared.compile)(&outcome.spec)?;
-        return Ok((table, outcome.spec));
-    }
-    let table = (shared.compile)(&swap.spec)?;
-    Ok((table, swap.spec))
+    let Some(family) = spec.strip_prefix("optimize:") else {
+        return Ok((compile(spec)?, spec.to_string()));
+    };
+    let totals = engine.metrics_total();
+    let stream_time: f64 = engine.metrics_per_shard().iter().map(|m| m.sim_time).sum();
+    let load = ObservedLoad::from_counts(
+        totals.arrivals_inelastic,
+        totals.arrivals_elastic,
+        stream_time,
+    )?;
+    let budget = Budget {
+        max_evals: reopt.max_evals,
+        seed: reopt.seed,
+    };
+    let outcome = reoptimize(
+        family,
+        engine.config().k,
+        &load,
+        reopt.mu_inelastic,
+        reopt.mu_elastic,
+        &budget,
+    )?;
+    Ok((compile(&outcome.spec)?, outcome.spec))
 }
 
 /// Installs one pending swap at the current barrier: build the table,
@@ -523,14 +533,17 @@ fn perform_swap(
     report_pauses: &mut Vec<f64>,
 ) {
     let started = Instant::now();
-    let requested = swap.spec.clone();
-    match swap_table(shared, engine, swap, reopt) {
+    let resolved = match swap.table {
+        Some(table) => Ok((table, swap.spec.clone())),
+        None => resolve_swap(&swap.spec, engine, reopt, shared.compile),
+    };
+    match resolved {
         Ok((table, spec)) => {
             let record = SwapRecord {
                 seq: engine.ingested(),
                 generation: engine.generation() + 1,
                 hash: table.identity_hash(),
-                spec: spec.clone(),
+                spec,
             };
             {
                 let mut r = shared.router.lock().expect("router poisoned");
@@ -542,7 +555,7 @@ fn perform_swap(
                     }
                 }
             }
-            let installed = engine.install_table(table, &spec);
+            let installed = engine.install_table(table, &record.spec);
             debug_assert_eq!(installed, record, "journaled swap differs from installed");
             SWAP_COUNT.inc();
             let pause = started.elapsed().as_secs_f64();
@@ -558,7 +571,7 @@ fn perform_swap(
                 .lock()
                 .expect("router poisoned")
                 .swap_errors
-                .push(format!("swap to '{requested}' failed (policy kept): {e}"));
+                .push(format!("swap to '{}' failed (policy kept): {e}", swap.spec));
         }
     }
 }

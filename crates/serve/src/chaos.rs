@@ -93,10 +93,11 @@ pub fn run_chaos(
         &mut crashed,
         &mut src,
         f64::INFINITY,
-        &mut journal,
+        Some(&mut journal),
         RunControls {
             snapshot_at: Some(snapshot_at),
             kill_after: Some(kill_after),
+            ..Default::default()
         },
     )
     .expect("journaling to memory cannot fail");

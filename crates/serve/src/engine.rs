@@ -637,23 +637,13 @@ impl ServeEngine {
     /// Pulls arrivals from `source` up to simulated time `until`,
     /// ingesting them in `config.batch`-sized rounds, then drains.
     /// Returns the number of arrivals ingested. (The first arrival past
-    /// the horizon is consumed from the source and dropped.)
+    /// the horizon is consumed from the source and dropped.) This is
+    /// [`crate::journal::run_journaled`] with no journal and no controls.
     pub fn run(&mut self, source: &mut dyn ArrivalSource, until: f64) -> u64 {
-        let before = self.seq;
-        let mut buf: Vec<Arrival> = Vec::with_capacity(self.config.batch);
-        while let Some(a) = source.next_arrival() {
-            if a.time > until {
-                break;
-            }
-            buf.push(a);
-            if buf.len() >= self.config.batch {
-                self.ingest_batch(&buf);
-                buf.clear();
-            }
-        }
-        self.ingest_batch(&buf);
-        self.drain();
-        self.seq - before
+        let unjournaled: Option<&mut crate::journal::JournalWriter<std::io::Sink>> = None;
+        crate::journal::run_journaled(self, source, until, unjournaled, Default::default())
+            .expect("a run without journal or swap does no fallible work")
+            .ingested
     }
 
     /// The engine-wide decision digest: per-shard digests folded in

@@ -1,23 +1,39 @@
-//! Write-ahead decision journaling: crash recovery with bit-identical
-//! replay.
+//! Write-ahead decision journaling: crash recovery and standalone
+//! replay, both bit-identical.
 //!
 //! A snapshot freezes engine state at one instant; the journal covers the
 //! gap between the last snapshot and a crash. The discipline is
 //! write-ahead: every arrival batch is appended to the journal **and
-//! flushed** before the engine ingests it, so after an abrupt kill the
-//! journal always holds at least everything the engine has seen. Recovery
-//! composes the two — restore the snapshot, then replay the journal's
-//! suffix from the snapshot's sequence number — and, because the engine
-//! is deterministic and batching does not affect semantics, the recovered
-//! engine continues **bit-identically**: draining it yields the same
-//! shard-ordered decision digest as the run that never crashed. The
-//! `fault_tolerance` tests and the CI chaos gate assert exactly that,
-//! including under capacity churn.
+//! flushed** before the engine ingests it, and every policy hot-swap
+//! before any arrival is served under it, so after an abrupt kill the
+//! journal always holds at least everything the engine has seen.
+//!
+//! One loop writes journals and one reads them:
+//!
+//! * [`run_journaled`] is the offline run loop behind every offline
+//!   `eirs serve` mode and [`ServeEngine::run`]. Its [`RunControls`]
+//!   boundaries — a hot-swap, a snapshot, a kill — each split a batch at
+//!   an exact arrival count. Every run drains at the end unless it was
+//!   killed.
+//! * [`recover`]/[`recover_with`] (restore a snapshot, replay the
+//!   journal's suffix from its sequence number) and [`replay_journal`]
+//!   (recompile the boot policy, replay everything) share one private
+//!   replay routine that re-installs each journaled swap at its seq.
+//!   Neither drains: a recovered engine keeps serving, and a replayed
+//!   one is drained by the caller to compare against a finished run.
+//!
+//! Because the engine is deterministic and batching does not affect
+//! semantics, a recovered engine continues **bit-identically**, and a
+//! replayed-then-drained one reproduces the live run's shard-ordered
+//! decision digest. The `fault_tolerance` tests and the CI chaos and
+//! hot-swap gates assert exactly that, including under capacity churn.
 //!
 //! The format follows the trace/snapshot discipline: line-oriented text,
 //! `#` comments, floats in Rust's shortest round-trippable form. A header
-//! records the serving identity (policy, shape, churn); each entry is one
-//! arrival with its global sequence number:
+//! records the serving identity (policy, shape, churn, and for
+//! standalone replay the boot spec and its table hash); each `a` entry is
+//! one arrival with its global sequence number, and each `g` record one
+//! hot-swap (`g <seq> <generation> <hash> <spec>`):
 //!
 //! ```text
 //! # eirs-serve-journal v1
@@ -26,6 +42,8 @@
 //! churn spec=crash:mtbf=50,mttr=5 seed=7 horizon=200
 //! a 0 0.3517 I 1.25
 //! a 1 0.9102 E 0.75
+//! g 2 1 4919650944929708735 threshold:16
+//! a 2 1.0433 I 0.5
 //! ```
 //!
 //! There is no end marker: a journal is valid at every prefix of whole
@@ -432,11 +450,42 @@ fn parse_entry(fields: &[&str]) -> Result<JournalEntry, String> {
     })
 }
 
-/// Knobs for a controlled (journaled, snapshot-taking, killable) run —
-/// the ingredients of the crash-recovery tests and the `eirs serve`
-/// `--journal`/`--snapshot-at`/`--kill-after` flags.
+/// Builds a swap's table at its barrier from the engine as it stands
+/// there, returning it with the concrete spec to journal for it.
+pub type SwapResolver<'a> = dyn Fn(&ServeEngine) -> Result<(CompiledTable, String), String> + 'a;
+
+/// A policy hot-swap scheduled as a [`RunControls`] boundary.
+#[derive(Clone, Copy)]
+pub struct SwapBoundary<'a> {
+    /// Install the new table when this many arrivals have been ingested
+    /// (at once if the engine is already past it), or at end of stream
+    /// if the stream ends first.
+    pub at: u64,
+    /// Called at the barrier (an `optimize:` swap reads the metrics
+    /// observed so far).
+    pub resolve: &'a SwapResolver<'a>,
+}
+
+impl std::fmt::Debug for SwapBoundary<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SwapBoundary")
+            .field("at", &self.at)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The boundaries of a controlled run — the ingredients of the
+/// crash-recovery tests and of the `eirs serve` `--snapshot-at`,
+/// `--kill-after` and `--swap-policy`/`--swap-at` flags. Each is an
+/// arrival count; [`run_journaled`] splits a batch exactly there. When
+/// several fall on the same count they act in field order: the swap
+/// first (so a snapshot there records the new generation), then the
+/// snapshot, then the kill.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RunControls {
+pub struct RunControls<'a> {
+    /// Hot-swap the serving policy when this many arrivals have been
+    /// ingested.
+    pub swap: Option<SwapBoundary<'a>>,
     /// Take an [`EngineSnapshot`] exactly when this many arrivals have
     /// been ingested.
     pub snapshot_at: Option<u64>,
@@ -456,20 +505,25 @@ pub struct RunOutcome {
     pub snapshot: Option<EngineSnapshot>,
 }
 
-/// Pulls arrivals from `source` up to time `until` like
-/// [`ServeEngine::run`], but write-ahead journals every batch and honors
-/// [`RunControls`]: batches are split at the exact `snapshot_at` /
-/// `kill_after` sequence boundaries, a kill returns immediately
-/// **without draining** (simulating a crash), and a completed run drains
-/// as usual. Batch splitting never changes semantics — per-shard arrival
-/// order is preserved under any batching, so the decision stream is
-/// unaffected.
+/// The offline run loop: pulls arrivals from `source` up to time `until`
+/// in `config.batch`-sized rounds, write-ahead journals every batch and
+/// swap to `journal` when one is given, and honors [`RunControls`]. A
+/// kill returns immediately **without draining** (simulating a crash);
+/// any other run drains, after installing a swap whose barrier the
+/// stream never reached. Batch splitting never changes semantics —
+/// per-shard arrival order is preserved under any batching, so the
+/// decision stream is unaffected. [`ServeEngine::run`] is this loop
+/// with no journal and no controls. (The first arrival past the horizon
+/// is consumed from the source and dropped.)
+///
+/// A failing swap resolver stops the run with an
+/// [`std::io::ErrorKind::Other`] error carrying its message.
 pub fn run_journaled<W: Write>(
     engine: &mut ServeEngine,
     source: &mut dyn ArrivalSource,
     until: f64,
-    journal: &mut JournalWriter<W>,
-    controls: RunControls,
+    mut journal: Option<&mut JournalWriter<W>>,
+    controls: RunControls<'_>,
 ) -> std::io::Result<RunOutcome> {
     let before = engine.ingested();
     let mut outcome = RunOutcome {
@@ -477,44 +531,66 @@ pub fn run_journaled<W: Write>(
         killed: false,
         snapshot: None,
     };
-    let check_boundaries = |engine: &ServeEngine, outcome: &mut RunOutcome| -> bool {
+    let mut swap = controls.swap;
+    let batch_len = engine.config().batch as u64;
+    let mut buf: Vec<Arrival> = Vec::with_capacity(batch_len as usize);
+    let mut ended = false;
+    loop {
         let at = engine.ingested();
+        if let Some(s) = swap.filter(|s| s.at <= at || ended) {
+            let (table, spec) = (s.resolve)(engine).map_err(std::io::Error::other)?;
+            // Write-ahead: the record lands before any arrival is served
+            // under the new generation.
+            let record = SwapRecord {
+                seq: at,
+                generation: engine.generation() + 1,
+                hash: table.identity_hash(),
+                spec,
+            };
+            if let Some(j) = journal.as_deref_mut() {
+                j.append_swap(&record)?;
+            }
+            let installed = engine.install_table(table, &record.spec);
+            debug_assert_eq!(installed, record, "journaled swap differs from installed");
+            swap = None;
+        }
         if controls.snapshot_at == Some(at) && outcome.snapshot.is_none() {
             outcome.snapshot = Some(engine.snapshot());
         }
         if controls.kill_after == Some(at) && at > before {
             outcome.killed = true;
-        }
-        outcome.killed
-    };
-    check_boundaries(engine, &mut outcome);
-    let batch_len = engine.config().batch;
-    let mut buf: Vec<Arrival> = Vec::with_capacity(batch_len);
-    let mut flush = |engine: &mut ServeEngine, buf: &mut Vec<Arrival>| -> std::io::Result<()> {
-        if !buf.is_empty() {
-            journal.append_batch(engine.ingested(), buf)?;
-            engine.ingest_batch(buf);
-            buf.clear();
-        }
-        Ok(())
-    };
-    while let Some(a) = source.next_arrival() {
-        if a.time > until {
             break;
         }
-        buf.push(a);
-        let next = engine.ingested() + buf.len() as u64;
-        let boundary = controls.snapshot_at == Some(next) || controls.kill_after == Some(next);
-        if buf.len() >= batch_len || boundary {
-            flush(engine, &mut buf)?;
-            if check_boundaries(engine, &mut outcome) {
-                outcome.ingested = engine.ingested() - before;
-                return Ok(outcome);
+        if ended {
+            break;
+        }
+        // Fill one batch, cut short at the nearest boundary ahead.
+        let limit = [
+            controls.snapshot_at,
+            controls.kill_after,
+            swap.map(|s| s.at),
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|&b| b > at)
+        .fold(batch_len, |limit, b| limit.min(b - at));
+        buf.clear();
+        while (buf.len() as u64) < limit {
+            match source.next_arrival() {
+                Some(a) if a.time <= until => buf.push(a),
+                _ => {
+                    ended = true;
+                    break;
+                }
             }
         }
+        if !buf.is_empty() {
+            if let Some(j) = journal.as_deref_mut() {
+                j.append_batch(at, &buf)?;
+            }
+            engine.ingest_batch(&buf);
+        }
     }
-    flush(engine, &mut buf)?;
-    check_boundaries(engine, &mut outcome);
     outcome.ingested = engine.ingested() - before;
     if !outcome.killed {
         engine.drain();
@@ -569,7 +645,8 @@ pub fn recover_with(
     // `snap.generation` swaps happened at or before the snapshot point.
     // A mismatch means the journal belongs to a different run (or a
     // different policy history) and replaying it would silently produce
-    // a cross-policy decision stream.
+    // a cross-policy decision stream. Once this holds, the swaps still
+    // to replay are exactly those above the snapshot's generation.
     let pre_swaps = journal.swaps.iter().filter(|s| s.seq <= snap.seq).count() as u32;
     if pre_swaps != snap.generation {
         return Err(JournalError::Mismatch(format!(
@@ -609,54 +686,7 @@ pub fn recover_with(
         ));
     }
     let mut engine = ServeEngine::from_snapshot(table, config, snap)?;
-    let suffix: Vec<&JournalEntry> = journal
-        .entries
-        .iter()
-        .filter(|e| e.seq >= snap.seq)
-        .collect();
-    if let Some(first) = suffix.first() {
-        if first.seq != snap.seq {
-            return Err(JournalError::Mismatch(format!(
-                "journal resumes at seq {}, snapshot ends at seq {} — the gap is unrecoverable",
-                first.seq, snap.seq
-            )));
-        }
-    }
-    let batch = engine.config().batch;
-    let mut pending: Vec<&SwapRecord> = journal.swaps.iter().filter(|s| s.seq > snap.seq).collect();
-    pending.reverse(); // pop() yields the earliest swap first
-    let mut buf: Vec<Arrival> = Vec::with_capacity(batch);
-    let install = |engine: &mut ServeEngine, rec: &SwapRecord| -> Result<(), JournalError> {
-        let table = compile(rec).map_err(JournalError::Mismatch)?;
-        let installed = engine.install_table(table, &rec.spec);
-        if installed.hash != rec.hash || installed.generation != rec.generation {
-            return Err(JournalError::Mismatch(format!(
-                "recompiled swap '{}' hashes to {:#018x} generation {}, journal recorded \
-                 {:#018x} generation {}",
-                rec.spec, installed.hash, installed.generation, rec.hash, rec.generation
-            )));
-        }
-        Ok(())
-    };
-    for e in suffix {
-        while pending.last().is_some_and(|s| s.seq == e.seq) {
-            engine.ingest_batch(&buf);
-            buf.clear();
-            let rec = pending.pop().expect("just checked");
-            install(&mut engine, rec)?;
-        }
-        buf.push(e.arrival);
-        if buf.len() >= batch {
-            engine.ingest_batch(&buf);
-            buf.clear();
-        }
-    }
-    engine.ingest_batch(&buf);
-    // Swaps recorded at the very end of the journal (at the crash
-    // point, after the last journaled arrival) still install.
-    while let Some(rec) = pending.pop() {
-        install(&mut engine, rec)?;
-    }
+    replay_suffix(&mut engine, journal, compile)?;
     Ok(engine)
 }
 
@@ -664,16 +694,15 @@ pub fn recover_with(
 /// boot policy from the journal's recorded `policy_spec`, ingests every
 /// entry from seq 0, and re-installs each journaled hot-swap at its
 /// exact sequence point. The returned engine is **not** drained (call
-/// [`ServeEngine::drain`] to match a live run that shut down cleanly).
-/// Because the engine is deterministic and decisions are
-/// grid-size-invariant, the replayed decision digest is bit-identical
-/// to the live run's — the hot-swap CI gate's currency.
+/// [`ServeEngine::drain`] to match a live run, which always drains
+/// unless it was killed). Because the engine is deterministic and
+/// decisions are grid-size-invariant, the replayed decision digest is
+/// bit-identical to the live run's — the hot-swap CI gates' currency.
 ///
 /// `config` supplies processing knobs (workers, batch) and must agree
 /// with the journal's `k`/`route_shards`/churn identity; `compile`
-/// turns a policy spec into a table (the boot spec compiles via
-/// `compile(&SwapRecord{generation: 0, ...})`-style call with the
-/// header spec).
+/// turns a policy spec — the header's boot spec and every swap's — into
+/// a table.
 pub fn replay_journal(
     config: EngineConfig,
     journal: &Journal,
@@ -713,21 +742,44 @@ pub fn replay_journal(
             journal.policy
         )));
     }
-    if let Some(first) = journal.entries.first() {
-        if first.seq != 0 {
-            return Err(JournalError::Mismatch(format!(
-                "journal starts at seq {} — standalone replay needs the full history from seq 0",
-                first.seq
-            )));
-        }
-    }
     let mut engine = ServeEngine::new(table, config);
-    let batch = engine.config().batch;
-    let mut pending: Vec<&SwapRecord> = journal.swaps.iter().collect();
-    pending.reverse();
-    let mut buf: Vec<Arrival> = Vec::with_capacity(batch);
-    let install = |engine: &mut ServeEngine, rec: &SwapRecord| -> Result<(), JournalError> {
-        let table = compile(&rec.spec).map_err(JournalError::Mismatch)?;
+    replay_suffix(&mut engine, journal, &|rec| compile(&rec.spec))?;
+    Ok(engine)
+}
+
+/// The one journal-replay loop, shared by recovery and standalone
+/// replay: ingests the journal's entries from the engine's sequence
+/// number on, re-installing every swap newer than the engine's
+/// generation at its exact seq (swaps past the last entry install at
+/// the end). Each recompiled table must match its journaled identity
+/// hash and generation.
+fn replay_suffix(
+    engine: &mut ServeEngine,
+    journal: &Journal,
+    compile: &dyn Fn(&SwapRecord) -> Result<CompiledTable, String>,
+) -> Result<(), JournalError> {
+    let at = engine.ingested();
+    let mut rest = &journal.entries[journal.entries.partition_point(|e| e.seq < at)..];
+    if let Some(first) = rest.first().filter(|e| e.seq != at) {
+        return Err(JournalError::Mismatch(format!(
+            "journal resumes at seq {}, the engine is at seq {at} — the gap is unrecoverable",
+            first.seq
+        )));
+    }
+    let mut buf: Vec<Arrival> = Vec::with_capacity(engine.config().batch);
+    let mut ingest = |engine: &mut ServeEngine, entries: &[JournalEntry]| {
+        for chunk in entries.chunks(engine.config().batch) {
+            buf.clear();
+            buf.extend(chunk.iter().map(|e| e.arrival));
+            engine.ingest_batch(&buf);
+        }
+    };
+    let generation = engine.generation();
+    for rec in journal.swaps.iter().filter(|s| s.generation > generation) {
+        let (head, tail) = rest.split_at(rest.partition_point(|e| e.seq < rec.seq));
+        ingest(engine, head);
+        rest = tail;
+        let table = compile(rec).map_err(JournalError::Mismatch)?;
         let installed = engine.install_table(table, &rec.spec);
         if installed.hash != rec.hash || installed.generation != rec.generation {
             return Err(JournalError::Mismatch(format!(
@@ -736,26 +788,9 @@ pub fn replay_journal(
                 rec.spec, installed.hash, installed.generation, rec.hash, rec.generation
             )));
         }
-        Ok(())
-    };
-    for e in &journal.entries {
-        while pending.last().is_some_and(|s| s.seq == e.seq) {
-            engine.ingest_batch(&buf);
-            buf.clear();
-            let rec = pending.pop().expect("just checked");
-            install(&mut engine, rec)?;
-        }
-        buf.push(e.arrival);
-        if buf.len() >= batch {
-            engine.ingest_batch(&buf);
-            buf.clear();
-        }
     }
-    engine.ingest_batch(&buf);
-    while let Some(rec) = pending.pop() {
-        install(&mut engine, rec)?;
-    }
-    Ok(engine)
+    ingest(engine, rest);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -857,7 +892,7 @@ mod tests {
             &mut reference,
             &mut src,
             f64::INFINITY,
-            &mut sink,
+            Some(&mut sink),
             RunControls::default(),
         )
         .unwrap();
@@ -869,10 +904,11 @@ mod tests {
             &mut crashed,
             &mut src,
             f64::INFINITY,
-            &mut journal,
+            Some(&mut journal),
             RunControls {
                 snapshot_at: Some(40),
                 kill_after: Some(90),
+                ..Default::default()
             },
         )
         .unwrap();
@@ -1060,10 +1096,11 @@ mod tests {
             &mut engine,
             &mut src,
             f64::INFINITY,
-            &mut w,
+            Some(&mut w),
             RunControls {
                 snapshot_at: Some(20),
                 kill_after: Some(30),
+                ..Default::default()
             },
         )
         .unwrap();

@@ -74,7 +74,7 @@ pub use engine::{
 };
 pub use journal::{
     recover, recover_with, replay_journal, run_journaled, Journal, JournalWriter, RunControls,
-    RunOutcome,
+    RunOutcome, SwapBoundary, SwapResolver,
 };
 pub use metrics::ShardMetrics;
 pub use replay::RecordingPolicy;

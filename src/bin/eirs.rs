@@ -77,7 +77,8 @@ fn usage() {
     eprintln!("                  --recover true]");
     eprintln!("                  network:  [--listen <addr> --addr-file <path> --queue-cap <n>");
     eprintln!("                  --shed true] hot-swap: [--swap-policy <spec|optimize:<family>>");
-    eprintln!("                  --swap-at <n>] replay: [--replay-journal <path> --drain true]");
+    eprintln!("                  --swap-at <n> --budget <evals>] replay: [--replay-journal");
+    eprintln!("                  <path> --drain true]");
     eprintln!("  client          load generator for a networked serve (--listen) front end");
     eprintln!("                  --connect <host:port> [--clients <n> --workload --duration");
     eprintln!("                  --seed --swap <spec> --swap-after <n> --k --rho --mu-i --mu-e]");
@@ -1107,9 +1108,10 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
             Ok(())
         }
         "serve" => {
+            use eirs_repro::net::{resolve_swap, validate_swap_spec, ReoptSettings};
             use eirs_repro::serve::{
                 recover, run_journaled, ChurnConfig, CompiledTable, EngineConfig, EngineSnapshot,
-                Journal, JournalWriter, RunControls, ServeEngine,
+                Journal, JournalWriter, RunControls, ServeEngine, SwapBoundary,
             };
             use eirs_repro::sim::FaultSpec;
 
@@ -1251,8 +1253,8 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                     return Err("--snapshot-at needs --snapshot <path> to write to".into());
                 }
             }
-            // Networked serving, offline hot-swap, and journal replay
-            // (the front end in crates/net): three further serve modes.
+            // Networked serving, hot-swap, and journal replay (the front
+            // end and swap resolution live in crates/net).
             let listen = args.get("listen").map(str::to_string);
             let replay_path = args.get("replay-journal").map(str::to_string);
             let swap_policy = args.get("swap-policy").map(str::to_string);
@@ -1267,19 +1269,23 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                         .into(),
                 );
             }
+            let k = p.k;
+            let compile = move |spec: &str| -> Result<CompiledTable, String> {
+                Ok(CompiledTable::compile(parse_policy(spec)?, k, grid, grid))
+            };
             if let Some(spec) = &swap_policy {
                 // Validate the swap spec up front: a bad spec should fail
                 // the command, not the barrier halfway through a run.
-                match spec.strip_prefix("optimize:") {
-                    Some(family) => {
-                        opt::parse_family(family, p.k)
-                            .map_err(|e| spec_error("swap-policy", spec, &e))?;
-                    }
-                    None => {
-                        parse_policy(spec).map_err(|e| spec_error("swap-policy", spec, &e))?;
-                    }
-                }
+                validate_swap_spec(spec, k, &compile)
+                    .map_err(|e| spec_error("swap-policy", spec, &e))?;
             }
+            // Service rates and search budget of an `optimize:` swap.
+            let reopt = ReoptSettings {
+                mu_inelastic: p.mu_i,
+                mu_elastic: p.mu_e,
+                max_evals: args.get_parsed_or("budget", 60usize).map_err(stringify)?,
+                seed,
+            };
             if replay_path.is_some()
                 && (listen.is_some()
                     || recover_mode
@@ -1349,16 +1355,12 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
             // arrivals, and hot-swaps — from the write-ahead journal
             // alone, and report the reproduced digest.
             if let Some(jpath) = &replay_path {
-                let k = p.k;
-                // An offline `serve` reports its digest with jobs still in
-                // flight at the horizon; a networked serve drains before
-                // reporting. `--drain true` matches the latter.
+                // Live runs drain before reporting, unless killed; a
+                // replay stops where the journal ends. `--drain true`
+                // matches a finished live run.
                 let drain = args.get_parsed_or("drain", false).map_err(stringify)?;
                 let journal = Journal::load(std::path::Path::new(jpath.as_str()))
                     .map_err(|e| format!("cannot replay journal {jpath}: {e}"))?;
-                let compile = move |spec: &str| -> Result<CompiledTable, String> {
-                    Ok(CompiledTable::compile(parse_policy(spec)?, k, grid, grid))
-                };
                 let mut engine = eirs_repro::serve::replay_journal(config, &journal, &compile)
                     .map_err(|e| format!("cannot replay journal {jpath}: {e}"))?;
                 let replayed = engine.ingested();
@@ -1388,12 +1390,45 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                 println!("digest: {digest} (generation {})", engine.generation());
                 return Ok(());
             }
+            let start = std::time::Instant::now();
+            // Every other mode serves one engine: a fresh one, or one
+            // recovered from a snapshot plus the journal suffix after it.
+            let mut engine = if recover_mode {
+                let spath = snapshot_path.expect("validated above");
+                let snap = EngineSnapshot::load(std::path::Path::new(spath))
+                    .map_err(|e| format!("cannot restore snapshot {spath}: {e}"))?;
+                let jpath = journal_path.expect("validated above");
+                let file = std::fs::File::open(jpath)
+                    .map_err(|e| format!("cannot open journal {jpath}: {e}"))?;
+                let journal = Journal::load_prefix(&mut std::io::BufReader::new(file))
+                    .map_err(|e| format!("cannot replay journal {jpath}: {e}"))?;
+                recover(table, config, &snap, &journal)
+                    .map_err(|e| format!("cannot recover from {spath} + {jpath}: {e}"))?
+            } else {
+                ServeEngine::new(table, config)
+            };
+            let replayed = recover_mode.then(|| engine.ingested());
+            // A fresh run journals write-ahead, recording the boot-policy
+            // spec in the header so --replay-journal can rebuild the run
+            // from the journal alone. (A recovery reads --journal.)
+            let mut journal = match journal_path.filter(|_| !recover_mode) {
+                Some(jpath) => {
+                    let file = std::fs::File::create(jpath)
+                        .map_err(|e| format!("cannot create journal {jpath}: {e}"))?;
+                    let w: Box<dyn std::io::Write + Send> = Box::new(std::io::BufWriter::new(file));
+                    Some(
+                        JournalWriter::create_with_spec(w, &engine, Some(&policy_spec))
+                            .map_err(|e| format!("cannot write journal {jpath}: {e}"))?,
+                    )
+                }
+                None => None,
+            };
             // --listen: put the engine behind a socket. Clients drive the
             // arrival stream (the workload flags are unused); the accept
             // loop, per-shard ingest queues, and the atomic hot-swap
             // barrier live in crates/net.
             if let Some(addr) = &listen {
-                use eirs_repro::net::{NetConfig, ReoptSettings, SwapTrigger};
+                use eirs_repro::net::{NetConfig, SwapTrigger};
                 let queue_cap = args
                     .get_parsed_or("queue-cap", 1024usize)
                     .map_err(stringify)?;
@@ -1410,20 +1445,6 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                     std::fs::write(path, local.to_string())
                         .map_err(|e| format!("cannot write addr file {path}: {e}"))?;
                 }
-                let engine = ServeEngine::new(table, config);
-                let journal = match journal_path {
-                    Some(jpath) => {
-                        let file = std::fs::File::create(jpath)
-                            .map_err(|e| format!("cannot create journal {jpath}: {e}"))?;
-                        let w: Box<dyn std::io::Write + Send> =
-                            Box::new(std::io::BufWriter::new(file));
-                        Some(
-                            JournalWriter::create_with_spec(w, &engine, Some(&policy_spec))
-                                .map_err(|e| format!("cannot write journal {jpath}: {e}"))?,
-                        )
-                    }
-                    None => None,
-                };
                 let swaps = match (&swap_policy, swap_at) {
                     (Some(spec), Some(at)) => vec![SwapTrigger {
                         at_seq: at,
@@ -1435,20 +1456,10 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
                     queue_cap,
                     batch,
                     shed,
-                    reopt: ReoptSettings {
-                        mu_inelastic: p.mu_i,
-                        mu_elastic: p.mu_e,
-                        max_evals: args.get_parsed_or("budget", 60usize).map_err(stringify)?,
-                        seed,
-                    },
-                };
-                let k = p.k;
-                let compile = move |spec: &str| -> Result<CompiledTable, String> {
-                    Ok(CompiledTable::compile(parse_policy(spec)?, k, grid, grid))
+                    reopt,
                 };
                 // Stderr so --json true keeps stdout machine-clean.
                 eprintln!("listening on {local} (policy={policy_name} k={k} route_shards={route})");
-                let start = std::time::Instant::now();
                 let report =
                     eirs_repro::net::serve(listener, engine, journal, swaps, net_cfg, &compile)?;
                 let wall = start.elapsed().as_secs_f64();
@@ -1557,192 +1568,46 @@ fn dispatch(args: CliArgs) -> Result<(), String> {
             )
             .map_err(|e| e.to_string())?;
             let mut source = workload.build_source(&scaled, seed, duration)?;
-            let start = std::time::Instant::now();
-            let (engine, ingested, killed, replayed) = if recover_mode {
-                let spath = snapshot_path.expect("validated above");
-                let snap = EngineSnapshot::load(std::path::Path::new(spath))
-                    .map_err(|e| format!("cannot restore snapshot {spath}: {e}"))?;
-                let jpath = journal_path.expect("validated above");
-                let file = std::fs::File::open(jpath)
-                    .map_err(|e| format!("cannot open journal {jpath}: {e}"))?;
-                let journal = Journal::load_prefix(&mut std::io::BufReader::new(file))
-                    .map_err(|e| format!("cannot replay journal {jpath}: {e}"))?;
-                let mut engine = recover(table, config, &snap, &journal)
-                    .map_err(|e| format!("cannot recover from {spath} + {jpath}: {e}"))?;
-                let replayed = engine.ingested();
-                // The journal already covers the first `replayed` arrivals;
-                // skip past them in the regenerated source (same workload,
-                // same seed) and continue the interrupted run.
-                for _ in 0..replayed {
-                    if source.next_arrival().is_none() {
-                        break;
-                    }
+            // A recovered engine already holds the journaled prefix: skip
+            // past it in the regenerated source (same workload, same
+            // seed) and continue the interrupted run.
+            for _ in 0..replayed.unwrap_or(0) {
+                if source.next_arrival().is_none() {
+                    break;
                 }
-                let continued = engine.run(source.as_mut(), duration);
-                (engine, replayed + continued, false, Some(replayed))
-            } else if let Some(swap_spec) = &swap_policy {
-                // Offline hot-swap: a hand-rolled batched loop that splits
-                // exactly at the --swap-at barrier. The trailing partial
-                // batch is journaled and ingested before the swap and
-                // before shutdown — never dropped at a batch boundary.
-                let barrier = swap_at.expect("validated: --swap-policy needs --swap-at");
-                let mut engine = ServeEngine::new(table, config);
-                let mut wal = match journal_path {
-                    Some(jpath) => {
-                        let file = std::fs::File::create(jpath)
-                            .map_err(|e| format!("cannot create journal {jpath}: {e}"))?;
-                        Some(
-                            JournalWriter::create_with_spec(
-                                std::io::BufWriter::new(file),
-                                &engine,
-                                Some(&policy_spec),
-                            )
-                            .map_err(|e| format!("cannot write journal {jpath}: {e}"))?,
-                        )
-                    }
-                    None => None,
-                };
-                let install =
-                    |engine: &mut ServeEngine,
-                     wal: &mut Option<JournalWriter<std::io::BufWriter<std::fs::File>>>|
-                     -> Result<(), String> {
-                        let resolved = match swap_spec.strip_prefix("optimize:") {
-                            Some(family) => {
-                                // Re-optimize against the traffic observed so
-                                // far: per-class arrival counts over the
-                                // engine's summed stream clock.
-                                let seen = engine.metrics_total();
-                                let stream_time: f64 =
-                                    engine.metrics_per_shard().iter().map(|m| m.sim_time).sum();
-                                let load = opt::ObservedLoad::from_counts(
-                                    seen.arrivals_inelastic,
-                                    seen.arrivals_elastic,
-                                    stream_time,
-                                )
-                                .map_err(|e| format!("--swap-policy '{swap_spec}': {e}"))?;
-                                opt::reoptimize(
-                                    family,
-                                    p.k,
-                                    &load,
-                                    p.mu_i,
-                                    p.mu_e,
-                                    &opt::Budget {
-                                        max_evals: 60,
-                                        seed,
-                                    },
-                                )
-                                .map_err(|e| format!("--swap-policy '{swap_spec}': {e}"))?
-                                .spec
-                            }
-                            None => swap_spec.clone(),
-                        };
-                        let swap_table = CompiledTable::compile(
-                            parse_policy(&resolved)
-                                .map_err(|e| spec_error("swap-policy", &resolved, &e))?,
-                            p.k,
-                            grid,
-                            grid,
-                        );
-                        // Write-ahead: journal the generation record before
-                        // any arrival is served under it.
-                        let record = eirs_repro::serve::SwapRecord {
-                            seq: engine.ingested(),
-                            generation: engine.generation() + 1,
-                            hash: swap_table.identity_hash(),
-                            spec: resolved.clone(),
-                        };
-                        if let Some(w) = wal.as_mut() {
-                            w.append_swap(&record)
-                                .map_err(|e| format!("cannot write journal: {e}"))?;
-                        }
-                        let installed = engine.install_table(swap_table, &resolved);
-                        debug_assert_eq!(installed, record);
-                        Ok(())
-                    };
-                let mut swapped = false;
-                let mut buffer: Vec<eirs_repro::sim::Arrival> = Vec::with_capacity(batch);
-                loop {
-                    if !swapped && engine.ingested() == barrier {
-                        install(&mut engine, &mut wal)?;
-                        swapped = true;
-                    }
-                    // Never fill past the barrier: the swap happens
-                    // between batches, so a batch boundary must land on
-                    // it exactly.
-                    let limit = if swapped {
-                        batch
-                    } else {
-                        batch.min((barrier - engine.ingested()) as usize)
-                    };
-                    buffer.clear();
-                    let mut ended = false;
-                    while buffer.len() < limit {
-                        match source.next_arrival() {
-                            Some(a) if a.time <= duration => buffer.push(a),
-                            _ => {
-                                ended = true;
-                                break;
-                            }
-                        }
-                    }
-                    if !buffer.is_empty() {
-                        if let Some(w) = wal.as_mut() {
-                            w.append_batch(engine.ingested(), &buffer)
-                                .map_err(|e| format!("cannot write journal: {e}"))?;
-                        }
-                        engine.ingest_batch(&buffer);
-                    }
-                    if ended {
-                        // The stream ended before the barrier: the swap
-                        // still takes effect, journaled at the actual
-                        // end-of-stream barrier.
-                        if !swapped {
-                            install(&mut engine, &mut wal)?;
-                        }
-                        break;
-                    }
-                }
-                let n = engine.ingested();
-                (engine, n, false, None)
-            } else {
-                let mut engine = ServeEngine::new(table, config);
-                match journal_path {
-                    Some(jpath) => {
-                        let file = std::fs::File::create(jpath)
-                            .map_err(|e| format!("cannot create journal {jpath}: {e}"))?;
-                        // Record the boot-policy spec in the header so
-                        // --replay-journal can rebuild the run from the
-                        // journal alone.
-                        let mut wal = JournalWriter::create_with_spec(
-                            std::io::BufWriter::new(file),
-                            &engine,
-                            Some(&policy_spec),
-                        )
-                        .map_err(|e| format!("cannot write journal {jpath}: {e}"))?;
-                        let outcome = run_journaled(
-                            &mut engine,
-                            source.as_mut(),
-                            duration,
-                            &mut wal,
-                            RunControls {
-                                snapshot_at,
-                                kill_after,
-                            },
-                        )
-                        .map_err(|e| format!("cannot write journal {jpath}: {e}"))?;
-                        if let Some(snap) = &outcome.snapshot {
-                            let spath = snapshot_path.expect("validated above");
-                            snap.save(std::path::Path::new(spath))
-                                .map_err(|e| format!("cannot write snapshot {spath}: {e}"))?;
-                        }
-                        (engine, outcome.ingested, outcome.killed, None)
-                    }
-                    None => {
-                        let n = engine.run(source.as_mut(), duration);
-                        (engine, n, false, None)
-                    }
-                }
+            }
+            let swap_spec = swap_policy.as_deref().unwrap_or_default();
+            let resolve = |engine: &ServeEngine| {
+                resolve_swap(swap_spec, engine, &reopt, &compile)
+                    .map_err(|e| spec_error("swap-policy", swap_spec, &e))
             };
+            let controls = RunControls {
+                swap: swap_at.map(|at| SwapBoundary {
+                    at,
+                    resolve: &resolve,
+                }),
+                snapshot_at,
+                kill_after,
+            };
+            let outcome = run_journaled(
+                &mut engine,
+                source.as_mut(),
+                duration,
+                journal.as_mut(),
+                controls,
+            )
+            .map_err(|e| match e.kind() {
+                // A failed swap resolution; the journal is the only I/O.
+                std::io::ErrorKind::Other => e.to_string(),
+                _ => format!("cannot write journal {}: {e}", journal_path.unwrap_or("")),
+            })?;
+            if let Some(snap) = &outcome.snapshot {
+                let spath = snapshot_path.expect("validated above");
+                snap.save(std::path::Path::new(spath))
+                    .map_err(|e| format!("cannot write snapshot {spath}: {e}"))?;
+            }
+            let killed = outcome.killed;
+            let ingested = replayed.unwrap_or(0) + outcome.ingested;
             let wall = start.elapsed().as_secs_f64();
             let totals = engine.metrics_total();
             let per_shard = engine.metrics_per_shard();
