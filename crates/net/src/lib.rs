@@ -16,7 +16,8 @@
 //!   checksummed binary frames. Decoding is strict; corrupt streams are
 //!   torn down, never resynchronized or silently truncated.
 //! * [`queue`] — bounded hand-off queues between the connection router
-//!   and the engine loop; capacity is the backpressure/shed mechanism.
+//!   and the engine loop (capacity is the backpressure/shed mechanism),
+//!   and the doorbell the idle engine loop parks on.
 //! * [`server`] — the accept loop, seq-assigning router, write-ahead
 //!   journaling, batched engine loop, and the **atomic policy
 //!   hot-swap**: control frames or CLI triggers install a freshly

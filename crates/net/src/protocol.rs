@@ -209,22 +209,34 @@ pub fn read_magic<R: Read>(r: &mut R) -> Result<(), ProtocolError> {
 
 /// Serializes `frame` into wire bytes (header, payload, checksum).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let (ty, aux, payload) = match frame {
+    // Room for every fixed-size frame without a reallocation.
+    let mut out = Vec::with_capacity(4 + DECISION_LEN + 8);
+    encode_frame_into(frame, &mut out);
+    out
+}
+
+/// Appends the wire bytes of `frame` to `out` — exactly the bytes
+/// [`encode_frame`] returns, without allocating when `out` has room.
+/// The server encodes a whole batch of decisions for one connection
+/// into one reused buffer this way and sends it with one write.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]); // header, filled in once the length is known
+    let (ty, aux) = match frame {
         Frame::Arrival {
             req_id,
             class,
             time,
             size,
         } => {
-            let mut p = Vec::with_capacity(ARRIVAL_LEN);
-            p.extend_from_slice(&req_id.to_le_bytes());
-            p.extend_from_slice(&time.to_le_bytes());
-            p.extend_from_slice(&size.to_le_bytes());
+            out.extend_from_slice(&req_id.to_le_bytes());
+            out.extend_from_slice(&time.to_le_bytes());
+            out.extend_from_slice(&size.to_le_bytes());
             let aux = match class {
                 JobClass::Inelastic => 0,
                 JobClass::Elastic => 1,
             };
-            (frame_type::ARRIVAL, aux, p)
+            (frame_type::ARRIVAL, aux)
         }
         Frame::Decision {
             req_id,
@@ -237,30 +249,37 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             alloc_elastic,
             admitted,
         } => {
-            let mut p = Vec::with_capacity(DECISION_LEN);
-            p.extend_from_slice(&req_id.to_le_bytes());
-            p.extend_from_slice(&seq.to_le_bytes());
-            p.extend_from_slice(&shard.to_le_bytes());
-            p.extend_from_slice(&i.to_le_bytes());
-            p.extend_from_slice(&j.to_le_bytes());
-            p.extend_from_slice(&generation.to_le_bytes());
-            p.extend_from_slice(&alloc_inelastic.to_le_bytes());
-            p.extend_from_slice(&alloc_elastic.to_le_bytes());
-            (frame_type::DECISION, u8::from(*admitted), p)
+            out.extend_from_slice(&req_id.to_le_bytes());
+            out.extend_from_slice(&seq.to_le_bytes());
+            out.extend_from_slice(&shard.to_le_bytes());
+            out.extend_from_slice(&i.to_le_bytes());
+            out.extend_from_slice(&j.to_le_bytes());
+            out.extend_from_slice(&generation.to_le_bytes());
+            out.extend_from_slice(&alloc_inelastic.to_le_bytes());
+            out.extend_from_slice(&alloc_elastic.to_le_bytes());
+            (frame_type::DECISION, u8::from(*admitted))
         }
-        Frame::Control(text) => (frame_type::CONTROL, 0, text.as_bytes().to_vec()),
-        Frame::ControlOk(text) => (frame_type::CONTROL_OK, 0, text.as_bytes().to_vec()),
-        Frame::Error(text) => (frame_type::ERROR, 0, text.as_bytes().to_vec()),
-        Frame::Bye => (frame_type::BYE, 0, Vec::new()),
+        Frame::Control(text) => {
+            out.extend_from_slice(text.as_bytes());
+            (frame_type::CONTROL, 0)
+        }
+        Frame::ControlOk(text) => {
+            out.extend_from_slice(text.as_bytes());
+            (frame_type::CONTROL_OK, 0)
+        }
+        Frame::Error(text) => {
+            out.extend_from_slice(text.as_bytes());
+            (frame_type::ERROR, 0)
+        }
+        Frame::Bye => (frame_type::BYE, 0),
     };
-    debug_assert!(payload.len() <= MAX_PAYLOAD);
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.push(ty);
-    out.push(aux);
-    out.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&frame_checksum(ty, aux, &payload).to_le_bytes());
-    out
+    let payload_len = out.len() - start - 4;
+    debug_assert!(payload_len <= MAX_PAYLOAD);
+    out[start] = ty;
+    out[start + 1] = aux;
+    out[start + 2..start + 4].copy_from_slice(&(payload_len as u16).to_le_bytes());
+    let checksum = frame_checksum(ty, aux, &out[start + 4..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 /// Writes one frame and flushes.
@@ -419,6 +438,69 @@ mod tests {
         round_trip(Frame::ControlOk("generation 1".into()));
         round_trip(Frame::Error("boom".into()));
         round_trip(Frame::Bye);
+    }
+
+    #[test]
+    fn encode_frame_into_appends_exactly_the_encode_frame_bytes() {
+        // Each frame type with its wire bytes as the allocating encoder
+        // wrote them before `encode_frame_into` existed: the wire format
+        // must not move.
+        let cases = [
+            (
+                Frame::Arrival {
+                    req_id: 9,
+                    class: JobClass::Inelastic,
+                    time: 0.5,
+                    size: 2.0,
+                },
+                "010018000900000000000000000000000000e03f00000000000000405aada55f3edb34bb",
+            ),
+            (
+                Frame::Arrival {
+                    req_id: 10,
+                    class: JobClass::Elastic,
+                    time: 0.75,
+                    size: 1.0,
+                },
+                "010118000a00000000000000000000000000e83f000000000000f03fdbca7f5a540a9893",
+            ),
+            (
+                Frame::Decision {
+                    req_id: 9,
+                    seq: 3,
+                    shard: 1,
+                    i: 4,
+                    j: 0,
+                    generation: 2,
+                    alloc_inelastic: 3.0,
+                    alloc_elastic: 0.0,
+                    admitted: false,
+                },
+                "02003000090000000000000003000000000000000100000004000000000000000200\
+                 0000000000000000084000000000000000008014bf948dbe44a9",
+            ),
+            (
+                Frame::Control("swap ef".into()),
+                "03000700737761702065664a6f7c8642058bad",
+            ),
+            (
+                Frame::ControlOk("scheduled".into()),
+                "040009007363686564756c6564096ac2c7d6e46457",
+            ),
+            (Frame::Error("bad".into()), "05000300626164cf6bf39154b857f7"),
+            (Frame::Bye, "0600000000e0efadd9a564bd"),
+        ];
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        // Appending after earlier frames must leave them untouched and
+        // add exactly this frame's bytes.
+        let mut out = b"prefix".to_vec();
+        let mut expected = hex(&out);
+        for (frame, wire) in &cases {
+            assert_eq!(hex(&encode_frame(frame)), *wire, "{frame:?}");
+            encode_frame_into(frame, &mut out);
+            expected.push_str(wire);
+            assert_eq!(hex(&out), expected, "{frame:?}");
+        }
     }
 
     #[test]

@@ -27,6 +27,26 @@
 //! exact: `completions + engine rejections + net sheds = client
 //! arrivals`.
 //!
+//! The engine loop is **event-driven**: it never sleeps on a timer.
+//! Every producer of engine work — the router after a push, a
+//! scheduled control swap, a reader that has finished — rings one
+//! doorbell ([`queue`](crate::queue)). The loop snapshots the bell
+//! before it drains the queues and, finding nothing to ingest, parks
+//! until the bell has rung since that snapshot (a few-millisecond
+//! fallback timeout is only a safety net). A ring while the loop is
+//! busy costs one atomic add; only a parked loop is woken through the
+//! futex.
+//!
+//! System calls are **batched** on both sides of the socket. Readers
+//! decode through a 64 KiB [`BufReader`], so a burst of pipelined
+//! frames costs one `read` rather than three per frame. The engine loop
+//! encodes every decision of an ingested batch for one connection into
+//! that connection's reused output buffer and sends it with **one
+//! write per connection per batch**, under the registry lock — the
+//! same lock every other writer (sheds, `ControlOk`, errors, BYE) takes,
+//! so frames never interleave mid-frame and each connection receives
+//! its decisions in sequence order.
+//!
 //! ## Hot swap
 //!
 //! A swap is requested by a [`Frame::Control`] `swap <spec>` command or
@@ -42,8 +62,8 @@
 //! Offline `eirs serve` runs resolve their swaps through the same
 //! [`resolve_swap`] and check specs with [`validate_swap_spec`].
 
-use crate::protocol::{encode_frame, read_frame, read_magic, write_magic, Frame};
-use crate::queue::BoundedQueue;
+use crate::protocol::{encode_frame_into, read_frame, read_magic, write_magic, Frame};
+use crate::queue::{BoundedQueue, Doorbell};
 use eirs_obs::{publish_histogram, LatencyHistogram, LazyCounter};
 use eirs_opt::optim::Budget;
 use eirs_opt::reoptimize::{reoptimize, ObservedLoad};
@@ -52,7 +72,7 @@ use eirs_serve::metrics::ShardMetrics;
 use eirs_serve::{route_for, CompiledTable, JournalWriter, ServeEngine, SwapRecord};
 use eirs_sim::Arrival;
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -214,18 +234,53 @@ struct Router {
     pending: Vec<PendingSwap>,
 }
 
+/// Read buffer of each connection's reader thread.
+const READ_BUF_BYTES: usize = 64 * 1024;
+
+/// How long the idle engine loop parks before it looks again without a
+/// ring. Every event it waits for rings the doorbell, so this bounds
+/// the cost of a lost wake-up; it is not a polling interval.
+const PARK_FALLBACK: Duration = Duration::from_millis(5);
+
 /// One accepted connection's write half and accounting.
 struct Conn {
     stream: TcpStream,
+    /// Encoded frames not yet written; always empty between registry
+    /// lock holds.
+    out: Vec<u8>,
     outstanding: u64,
     reader_done: bool,
     closed: bool,
+}
+
+impl Conn {
+    /// Appends `frame` to the pending output (sent by
+    /// [`send_queued`](Conn::send_queued)).
+    fn queue(&mut self, frame: &Frame) {
+        encode_frame_into(frame, &mut self.out);
+        NET_FRAMES_OUT.inc();
+    }
+
+    /// Writes the pending output with one `write_all`; a failed write
+    /// closes the connection.
+    fn send_queued(&mut self) {
+        if !self.closed && !self.out.is_empty() {
+            NET_BYTES_OUT.add(self.out.len() as u64);
+            if self.stream.write_all(&self.out).is_err() {
+                self.closed = true;
+                let _ = self.stream.shutdown(Shutdown::Both);
+            }
+        }
+        self.out.clear();
+    }
 }
 
 struct Shared<'a> {
     router: Mutex<Router>,
     queues: Vec<BoundedQueue<Routed>>,
     registry: Mutex<Vec<Conn>>,
+    /// Rung whenever the engine loop has something new to do.
+    bell: Doorbell,
     conns_seen: AtomicUsize,
     stop: AtomicBool,
     shed: bool,
@@ -242,21 +297,10 @@ fn conn_write(shared: &Shared<'_>, conn: usize, frame: &Frame) {
     if c.closed {
         return;
     }
-    let bytes = encode_frame(frame);
-    NET_FRAMES_OUT.inc();
-    NET_BYTES_OUT.add(bytes.len() as u64);
-    if c.stream
-        .write_all(&bytes)
-        .and_then(|()| c.stream.flush())
-        .is_err()
-    {
-        c.closed = true;
-        let _ = c.stream.shutdown(Shutdown::Both);
-    }
+    c.queue(frame);
+    c.send_queued();
 }
 
-/// Routes one decoded arrival: assign seq, clamp time, journal, queue.
-/// Returns the shed decision frame to send, if the arrival was shed.
 /// The not-admitted decision for an arrival refused before it entered
 /// the stream (full queue under `shed`, or the server is stopping):
 /// no sequence number, no shard, no journal line.
@@ -274,6 +318,9 @@ fn shed_frame(req_id: u64) -> Frame {
     }
 }
 
+/// Routes one decoded arrival: assign seq, clamp time, journal, queue,
+/// then ring the engine loop's doorbell. Returns the shed decision
+/// frame to send, if the arrival was shed.
 fn route_arrival(
     shared: &Shared<'_>,
     conn: usize,
@@ -335,6 +382,8 @@ fn route_arrival(
         return None;
     }
     r.next_seq += 1;
+    drop(r);
+    shared.bell.ring();
     None
 }
 
@@ -369,6 +418,7 @@ fn handle_control(shared: &Shared<'_>, conn: usize, cmd: &str) -> bool {
         });
         at_seq
     };
+    shared.bell.ring();
     conn_write(
         shared,
         conn,
@@ -385,11 +435,13 @@ fn run_reader(shared: &Shared<'_>, conn: usize, mut stream: TcpStream) {
     NET_CONNECTIONS.inc();
     // Echo the handshake before any other traffic can reach this
     // connection (nothing is routed for it yet, so the write half is
-    // exclusively ours here).
+    // exclusively ours here). The magic is read unbuffered, so the read
+    // buffer is only allocated once the client is answered.
     let ok = read_magic(&mut stream).is_ok() && write_magic(&mut stream).is_ok();
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
     if ok {
         loop {
-            match read_frame(&mut stream) {
+            match read_frame(&mut reader) {
                 Ok(None) => break,
                 Ok(Some(frame)) => {
                     NET_FRAMES_IN.inc();
@@ -451,6 +503,7 @@ fn run_reader(shared: &Shared<'_>, conn: usize, mut stream: TcpStream) {
             .protocol_errors += 1;
     }
     shared.registry.lock().expect("registry poisoned")[conn].reader_done = true;
+    shared.bell.ring();
 }
 
 /// Sends BYE to (and closes) every connection whose reader finished and
@@ -459,10 +512,8 @@ fn close_finished(shared: &Shared<'_>) {
     let mut reg = shared.registry.lock().expect("registry poisoned");
     for c in reg.iter_mut() {
         if !c.closed && c.reader_done && c.outstanding == 0 {
-            let bytes = encode_frame(&Frame::Bye);
-            NET_FRAMES_OUT.inc();
-            NET_BYTES_OUT.add(bytes.len() as u64);
-            let _ = c.stream.write_all(&bytes).and_then(|()| c.stream.flush());
+            c.queue(&Frame::Bye);
+            c.send_queued();
             let _ = c.stream.shutdown(Shutdown::Both);
             c.closed = true;
         }
@@ -617,6 +668,7 @@ pub fn serve(
             .map(|_| BoundedQueue::new(config.queue_cap))
             .collect(),
         registry: Mutex::new(Vec::new()),
+        bell: Doorbell::new(),
         conns_seen: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         shed: config.shed,
@@ -644,6 +696,7 @@ pub fn serve(
                         let mut reg = shared.registry.lock().expect("registry poisoned");
                         reg.push(Conn {
                             stream,
+                            out: Vec::new(),
                             outstanding: 0,
                             reader_done: false,
                             closed: false,
@@ -664,11 +717,18 @@ pub fn serve(
         });
 
         // Engine loop: merge the shard queues back into global seq
-        // order and ingest in batches, honoring swap barriers.
+        // order and ingest in batches, honoring swap barriers; park on
+        // the doorbell when there is nothing to do.
         let mut holdover: BTreeMap<u64, Routed> = BTreeMap::new();
         let mut scratch: Vec<Routed> = Vec::new();
+        let mut batch: Vec<Routed> = Vec::new();
+        let mut arrivals: Vec<Arrival> = Vec::new();
+        let mut touched: Vec<usize> = Vec::new();
         let mut next_expected: u64 = 0;
         loop {
+            // Before looking for work: any ring from here on means work
+            // this look may have missed.
+            let seen = shared.bell.snapshot();
             for q in &shared.queues {
                 q.drain_into(&mut scratch, usize::MAX);
             }
@@ -696,7 +756,6 @@ pub fn serve(
                 r.pending.iter().map(|p| p.at_seq).min().unwrap_or(u64::MAX)
             };
 
-            let mut batch: Vec<Routed> = Vec::new();
             while (batch.len() as u64) < config.batch as u64
                 && next_expected + batch.len() as u64 != barrier
             {
@@ -706,17 +765,23 @@ pub fn serve(
                 }
             }
             if !batch.is_empty() {
-                let arrivals: Vec<Arrival> = batch.iter().map(|b| b.arrival).collect();
+                arrivals.clear();
+                arrivals.extend(batch.iter().map(|b| b.arrival));
                 let acks = engine.ingest_batch_admissions(&arrivals);
                 next_expected += batch.len() as u64;
+                // Encode each connection's decisions into its buffer,
+                // then write every touched connection once.
                 let mut reg = shared.registry.lock().expect("registry poisoned");
-                for (routed, ack) in batch.iter().zip(&acks) {
+                for (routed, ack) in batch.drain(..).zip(&acks) {
                     let c = &mut reg[routed.conn];
                     c.outstanding -= 1;
                     if c.closed {
                         continue;
                     }
-                    let bytes = encode_frame(&Frame::Decision {
+                    if c.out.is_empty() {
+                        touched.push(routed.conn);
+                    }
+                    c.queue(&Frame::Decision {
                         req_id: routed.req_id,
                         seq: routed.seq,
                         shard: ack.shard as u32,
@@ -727,16 +792,9 @@ pub fn serve(
                         alloc_elastic: ack.allocation.elastic,
                         admitted: ack.admitted,
                     });
-                    NET_FRAMES_OUT.inc();
-                    NET_BYTES_OUT.add(bytes.len() as u64);
-                    if c.stream
-                        .write_all(&bytes)
-                        .and_then(|()| c.stream.flush())
-                        .is_err()
-                    {
-                        c.closed = true;
-                        let _ = c.stream.shutdown(Shutdown::Both);
-                    }
+                }
+                for conn in touched.drain(..) {
+                    reg[conn].send_queued();
                 }
                 continue;
             }
@@ -788,7 +846,7 @@ pub fn serve(
                 }
                 break;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            shared.bell.wait(seen, PARK_FALLBACK);
         }
         shared.stop.store(true, Ordering::SeqCst);
     });

@@ -3,12 +3,14 @@
 //! accounting.
 
 use eirs_core::policy::parse_policy;
+use eirs_net::protocol::{read_frame, read_magic, write_frame, write_magic, Frame};
 use eirs_net::{run_client, serve, ClientConfig, NetConfig, ServeReport, SwapTrigger};
 use eirs_serve::{
     replay_journal, CompiledTable, EngineConfig, Journal, JournalWriter, ServeEngine,
 };
 use eirs_sim::{Arrival, JobClass};
-use std::net::TcpListener;
+use std::io::{BufWriter, Write};
+use std::net::{TcpListener, TcpStream};
 
 const K: u32 = 3;
 const GRID: usize = 16;
@@ -272,5 +274,111 @@ fn bad_control_command_tears_the_connection_down_with_an_error_frame() {
     assert_eq!(report.generation, 0);
     assert_eq!(report.protocol_errors, 1);
     assert_eq!(client.server_errors.len(), 1, "{:?}", client.server_errors);
+    assert!(report.accounting_balanced(), "{report:?}");
+}
+
+#[test]
+fn coalesced_decision_writes_keep_each_connection_in_sequence_order() {
+    const CONNS: usize = 4;
+    const PER_CONN: u64 = 400;
+    let arrivals = workload(CONNS * PER_CONN as usize);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let engine = ServeEngine::new(compile("fairshare").unwrap(), config());
+    // Small batches: many engine rounds, each writing several
+    // connections' decisions at once.
+    let net = NetConfig {
+        batch: 8,
+        ..NetConfig::default()
+    };
+    let (report, received) = std::thread::scope(|scope| {
+        let server = scope.spawn(move || {
+            serve(listener, engine, None, Vec::new(), net, &compile).expect("serve")
+        });
+        // Handshake every connection before any sends BYE, so the server
+        // cannot finish while a connection is still in the accept backlog.
+        let streams: Vec<TcpStream> = (0..CONNS)
+            .map(|_| {
+                let mut s = TcpStream::connect(addr).expect("connect");
+                write_magic(&mut s).expect("send magic");
+                read_magic(&mut s).expect("magic echo");
+                s
+            })
+            .collect();
+        let lanes: Vec<_> = streams
+            .into_iter()
+            .enumerate()
+            .map(|(lane, stream)| {
+                let arrivals = &arrivals;
+                scope.spawn(move || {
+                    let mut reader = stream.try_clone().expect("clone stream");
+                    // Pipeline: send everything while a second thread
+                    // reads, so neither side waits on the other.
+                    let sender = scope.spawn(move || {
+                        let mut w = BufWriter::new(stream);
+                        for n in 0..PER_CONN {
+                            let req_id = lane as u64 * PER_CONN + n;
+                            let a = arrivals[req_id as usize];
+                            write_frame(
+                                &mut w,
+                                &Frame::Arrival {
+                                    req_id,
+                                    class: a.class,
+                                    time: a.time,
+                                    size: a.size,
+                                },
+                            )
+                            .expect("send arrival");
+                        }
+                        write_frame(&mut w, &Frame::Bye).expect("send bye");
+                        w.flush().expect("flush");
+                    });
+                    let mut decisions = Vec::new();
+                    loop {
+                        match read_frame(&mut reader).expect("server frame") {
+                            Some(Frame::Decision { req_id, seq, .. }) => {
+                                decisions.push((req_id, seq))
+                            }
+                            None | Some(Frame::Bye) => break,
+                            Some(other) => panic!("lane {lane}: unexpected {other:?}"),
+                        }
+                    }
+                    sender.join().expect("sender");
+                    (lane, decisions)
+                })
+            })
+            .collect();
+        let received: Vec<_> = lanes.into_iter().map(|h| h.join().unwrap()).collect();
+        (server.join().expect("server thread"), received)
+    });
+
+    let mut all_seqs = Vec::new();
+    for (lane, decisions) in received {
+        // Exactly one decision per request of this lane...
+        let mut ids: Vec<u64> = decisions.iter().map(|d| d.0).collect();
+        ids.sort_unstable();
+        let want: Vec<u64> = (0..PER_CONN).map(|n| lane as u64 * PER_CONN + n).collect();
+        assert_eq!(ids, want, "lane {lane}: missing or duplicated decisions");
+        // ...delivered in strictly increasing sequence order.
+        for w in decisions.windows(2) {
+            assert!(
+                w[0].1 < w[1].1,
+                "lane {lane}: seq {} then {}",
+                w[0].1,
+                w[1].1
+            );
+        }
+        all_seqs.extend(decisions.iter().map(|d| d.1));
+    }
+    // No sheds at this queue size: the lanes partition the whole stream.
+    all_seqs.sort_unstable();
+    let total = CONNS as u64 * PER_CONN;
+    assert!(
+        all_seqs.iter().copied().eq(0..total),
+        "seqs do not cover 0..{total}"
+    );
+    assert_eq!(report.connections, CONNS);
+    assert_eq!(report.client_arrivals, total);
+    assert_eq!(report.ingested, total);
     assert!(report.accounting_balanced(), "{report:?}");
 }
